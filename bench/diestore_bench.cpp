@@ -6,7 +6,9 @@
 // results in BENCH_diestore.json (repo root).
 //
 //   diestore_bench --write [path]  re-measure and (over)write the pin file
-//   diestore_bench --check [path]  re-measure and FAIL (exit 1) if
+//   diestore_bench --check [path]  exit 2 before measuring if the pin file
+//                                  is missing, malformed, or pins a zero/NaN
+//                                  speedup; re-measure and FAIL (exit 1) if
 //                                  * checkpoint speedup (v2 / v3) < 2.0x, or
 //                                  * resume speedup (v2 / v3) < 2.0x, or
 //                                  * either speedup < 0.75x its pinned value
@@ -27,12 +29,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "mcu/device.hpp"
 #include "mcu/persist.hpp"
+#include "pin_gate.hpp"
 #include "store/die_store.hpp"
 #include "util/fsio.hpp"
 
@@ -188,16 +192,6 @@ std::string to_json(const Results& r) {
   return os.str();
 }
 
-/// Pull `"key": <number>` out of the pin file. Returns -1 if absent — the
-/// pin format is ours, so a missing key means a stale/foreign file and the
-/// caller treats it as "no pin".
-double json_number(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = text.find(needle);
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + pos + needle.size(), nullptr);
-}
-
 int run(int argc, char** argv) {
   bool write = false, check = false;
   std::string path = "BENCH_diestore.json";
@@ -208,6 +202,13 @@ int run(int argc, char** argv) {
       check = true;
     else
       path = argv[i];
+  }
+
+  std::optional<util::PinFile> pins;
+  if (check) {
+    pins = bench::load_gate_pins(path,
+                                 {"checkpoint_speedup", "resume_speedup"});
+    if (!pins) return 2;
   }
 
   if (const IoStatus st = make_dirs(bench_dir()); !st) {
@@ -257,15 +258,8 @@ int run(int argc, char** argv) {
                    r.resume_speedup());
       ok = false;
     }
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const double pin_ckpt = json_number(ss.str(), "checkpoint_speedup");
-    const double pin_resume = json_number(ss.str(), "resume_speedup");
-    if (pin_ckpt <= 0 || pin_resume <= 0) {
-      std::printf("[no pin at %s — floor checks only]\n", path.c_str());
-      return ok ? 0 : 1;
-    }
+    const double pin_ckpt = *pins->get("checkpoint_speedup");
+    const double pin_resume = *pins->get("resume_speedup");
     if (r.checkpoint_speedup() < 0.75 * pin_ckpt) {
       std::fprintf(stderr,
                    "FAIL: checkpoint speedup %.2fx regressed >25%% vs "

@@ -12,7 +12,9 @@
 //       shard-invariance contract, measure throughput, (over)write the pin
 //       file (default BENCH_lot.json in the CWD; ctest passes the repo
 //       root).
-//   lot_study --check [path]   same measurement, then FAIL (exit 1) if
+//   lot_study --check [path]   exit 2 before measuring if the pin file is
+//       missing, malformed, or pins a zero/NaN dies_per_s; otherwise the
+//       same measurement, then FAIL (exit 1) if
 //       * any shard x thread split of {1,2,8} x {1,4} produces different
 //         curve bytes (the REPRODUCIBILITY.md §9 contract), or
 //       * throughput < 100 dies/s floor, or
@@ -31,11 +33,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "lot/lot.hpp"
+#include "pin_gate.hpp"
 
 namespace flashmark {
 namespace {
@@ -126,21 +130,13 @@ std::string to_json(const SmokeResult& r) {
   os << "{\n";
   os << "  \"smoke_dies\": " << r.dies_total << ",\n";
   os << "  \"matrix_runs\": " << r.runs << ",\n";
-  os << "  \"shard_invariant\": " << (r.invariant ? "true" : "false")
-     << ",\n";
+  // 0/1, not a JSON bool: the pin file is read back by the strict
+  // numbers-only parser (util/pinfile.hpp).
+  os << "  \"shard_invariant\": " << (r.invariant ? 1 : 0) << ",\n";
   std::snprintf(buf, sizeof buf, "%.1f", r.dies_per_s);
   os << "  \"dies_per_s\": " << buf << "\n";
   os << "}\n";
   return os.str();
-}
-
-/// Pull `"key": <number>` out of the pin file; -1 when absent (treated as
-/// "no pin", floor checks only).
-double json_number(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = text.find(needle);
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + pos + needle.size(), nullptr);
 }
 
 int run_study(std::uint64_t dies, unsigned shards, unsigned threads) {
@@ -210,6 +206,12 @@ int run(int argc, char** argv) {
 
   if (!write && !check) return run_study(dies, shards, threads);
 
+  std::optional<util::PinFile> pins;
+  if (check) {
+    pins = bench::load_gate_pins(path, {"dies_per_s"});
+    if (!pins) return 2;
+  }
+
   const SmokeResult r = run_smoke();
   std::printf("smoke: %llu dies over %d runs, %.1f dies/s, invariance %s\n",
               static_cast<unsigned long long>(r.dies_total), r.runs,
@@ -246,14 +248,7 @@ int run(int argc, char** argv) {
                  r.dies_per_s);
     ok = false;
   }
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const double pin = json_number(ss.str(), "dies_per_s");
-  if (pin <= 0) {
-    std::printf("[no pin at %s — floor checks only]\n", path.c_str());
-    return ok ? 0 : 1;
-  }
+  const double pin = *pins->get("dies_per_s");
   if (r.dies_per_s < 0.75 * pin) {
     std::fprintf(stderr,
                  "FAIL: %.1f dies/s regressed >25%% vs pinned %.1f (%s)\n",

@@ -82,6 +82,37 @@ void BM_ImprintCycle_Loop(benchmark::State& state) {
 }
 BENCHMARK(BM_ImprintCycle_Loop)->Arg(100)->Arg(1000);
 
+// The enroll path (the daemon's kEnroll session loop): accelerated imprint,
+// each erase ended at erase-verify (§V). Also the allocation guard for that
+// loop: past the first cycle, every erase-verify query, pulse and program
+// must run out of the thread-local KernelArena scratch (phys/kernels.cpp).
+// The bench FAILS (SkipWithError) if a steady-state cycle touches the heap.
+void BM_ImprintCycle_Accelerated(benchmark::State& state) {
+  Device dev(DeviceConfig::msp430f5438(), kDieSeed);
+  const Addr addr = seg_addr(dev, 0);
+  const std::size_t cells = dev.config().geometry.segment_cells(0);
+  const BitVec pattern =
+      replicate_pattern(ascii_watermark(ascii_text(64)), 7, cells);
+  ImprintOptions io;
+  io.npe = static_cast<std::uint32_t>(state.range(0));
+  io.accelerated = true;
+  std::uint64_t after_first = 0;
+  std::uint64_t cycle_allocs = 0;
+  io.on_cycle = [&](std::uint32_t done) {
+    const std::uint64_t now = g_heap_allocs.load(std::memory_order_relaxed);
+    if (done == 1) after_first = now;
+    if (done == io.npe) cycle_allocs += now - after_first;
+  };
+  imprint_flashmark(dev.hal(), addr, pattern, io);  // warm-up: sizes scratch
+  cycle_allocs = 0;
+  for (auto _ : state) imprint_flashmark(dev.hal(), addr, pattern, io);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["cycle_allocs"] = static_cast<double>(cycle_allocs);
+  if (cycle_allocs != 0)
+    state.SkipWithError("steady-state accelerated imprint cycle hit the heap");
+}
+BENCHMARK(BM_ImprintCycle_Accelerated)->Arg(100)->Arg(1000);
+
 void BM_ImprintCycle_Batch(benchmark::State& state) {
   Device dev(DeviceConfig::msp430f5438(), kDieSeed);
   const Addr addr = seg_addr(dev, 0);

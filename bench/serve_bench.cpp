@@ -4,7 +4,9 @@
 // (repo root).
 //
 //   serve_bench --write [path]  re-measure and (over)write the pin file
-//   serve_bench --check [path]  re-measure and FAIL (exit 1) if
+//   serve_bench --check [path]  exit 2 before measuring if the pin file is
+//                                 missing, malformed, or pins a zero/NaN
+//                                 value; re-measure and FAIL (exit 1) if
 //                                 * any request fails (non-kOk), or
 //                                 * throughput < 50 rps absolute, or
 //                                 * throughput < 0.75x its pinned value, or
@@ -33,12 +35,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fleet/fleet.hpp"
+#include "pin_gate.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "store/die_store.hpp"
@@ -169,16 +173,6 @@ std::string to_json(const Results& r) {
   return os.str();
 }
 
-/// Pull `"key": <number>` out of the pin file. Returns -1 if absent — the
-/// pin format is ours, so a missing key means a stale/foreign file and the
-/// caller treats it as "no pin".
-double json_number(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return -1.0;
-  return std::atof(text.c_str() + at + needle.size());
-}
-
 }  // namespace
 }  // namespace flashmark
 
@@ -193,6 +187,12 @@ int main(int argc, char** argv) {
       check = true;
     else
       path = argv[i];
+  }
+
+  std::optional<util::PinFile> pins;
+  if (check) {
+    pins = bench::load_gate_pins(path, {"throughput_rps", "p99_ms"});
+    if (!pins) return 2;
   }
 
   const std::string dir = bench_dir();
@@ -253,37 +253,22 @@ int main(int argc, char** argv) {
                    r.throughput_rps);
       ok = false;
     }
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: no pin file at %s (run --write first)\n",
-                   path.c_str());
+    const double pin_rps = *pins->get("throughput_rps");
+    const double pin_p99 = *pins->get("p99_ms");
+    if (r.throughput_rps < 0.75 * pin_rps) {
+      std::fprintf(stderr,
+                   "FAIL: throughput %.1f rps < 0.75x pinned %.1f rps\n",
+                   r.throughput_rps, pin_rps);
       ok = false;
-    } else {
-      std::stringstream ss;
-      ss << in.rdbuf();
-      const double pin_rps = json_number(ss.str(), "throughput_rps");
-      const double pin_p99 = json_number(ss.str(), "p99_ms");
-      if (pin_rps <= 0 || pin_p99 <= 0) {
-        std::fprintf(stderr, "FAIL: %s is not a serve_bench pin file\n",
-                     path.c_str());
-        ok = false;
-      } else {
-        if (r.throughput_rps < 0.75 * pin_rps) {
-          std::fprintf(stderr,
-                       "FAIL: throughput %.1f rps < 0.75x pinned %.1f rps\n",
-                       r.throughput_rps, pin_rps);
-          ok = false;
-        }
-        // 3x headroom: the p99 of a loaded box is far noisier than the
-        // aggregate rps, and the throughput gate already catches uniform
-        // slowdowns — this one exists for tail-only regressions (a stall
-        // under the queue lock, a serialized store path).
-        if (r.p99_ms > pin_p99 * 3.0) {
-          std::fprintf(stderr, "FAIL: p99 %.3f ms > 3x pinned %.3f ms\n",
-                       r.p99_ms, pin_p99);
-          ok = false;
-        }
-      }
+    }
+    // 3x headroom: the p99 of a loaded box is far noisier than the
+    // aggregate rps, and the throughput gate already catches uniform
+    // slowdowns — this one exists for tail-only regressions (a stall
+    // under the queue lock, a serialized store path).
+    if (r.p99_ms > pin_p99 * 3.0) {
+      std::fprintf(stderr, "FAIL: p99 %.3f ms > 3x pinned %.3f ms\n",
+                   r.p99_ms, pin_p99);
+      ok = false;
     }
   }
   if (write && ok) {

@@ -112,14 +112,14 @@ KernelArena& arena() {
   return a;
 }
 
-// --- erase-pulse pass 1: nominal-tte cache refill --------------------------
+// --- nominal-tte cache refill ---------------------------------------------
 // Combine step after the pow batch: tte = tte_fresh * fma(k_damage*susc, g,
 // 1.0), g = eff>0 ? pow_out : 0 (PhysParams::slowdown_from_growth). The
 // dense case (every cache entry stale — the steady state under repeated
 // pulses, which invalidate everything) runs vectorized; the sparse case
 // walks the compacted index list scalar.
 
-void combine_dense_scalar_range(SegmentSoA& s, const PhysParams& p,
+void combine_dense_scalar_range(const SegmentSoA& s, const PhysParams& p,
                                 const double* growth_out, std::size_t i0,
                                 std::size_t i1) {
   double* cache = s.tte_cache_data();
@@ -134,7 +134,7 @@ void combine_dense_scalar_range(SegmentSoA& s, const PhysParams& p,
 #if FM_KERNELS_X86
 
 __attribute__((target("avx2,fma"))) void combine_dense_avx2(
-    SegmentSoA& s, const PhysParams& p, const double* growth_out,
+    const SegmentSoA& s, const PhysParams& p, const double* growth_out,
     std::size_t n) {
   const __m256d vzero = _mm256_setzero_pd();
   const __m256d vone = _mm256_set1_pd(1.0);
@@ -157,7 +157,7 @@ __attribute__((target("avx2,fma"))) void combine_dense_avx2(
 }
 
 __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl,avx2,fma"))) void
-combine_dense_avx512(SegmentSoA& s, const PhysParams& p,
+combine_dense_avx512(const SegmentSoA& s, const PhysParams& p,
                      const double* growth_out, std::size_t n) {
   const __m512d vzero = _mm512_setzero_pd();
   const __m512d vone = _mm512_set1_pd(1.0);
@@ -182,7 +182,7 @@ combine_dense_avx512(SegmentSoA& s, const PhysParams& p,
 
 #endif  // FM_KERNELS_X86
 
-void combine_dense(SegmentSoA& s, const PhysParams& p,
+void combine_dense(const SegmentSoA& s, const PhysParams& p,
                    const double* growth_out, std::size_t n) {
 #if FM_KERNELS_X86
   switch (fmm::active_isa()) {
@@ -196,6 +196,212 @@ void combine_dense(SegmentSoA& s, const PhysParams& p,
   combine_dense_scalar_range(s, p, growth_out, 0, n);
 #endif
   std::memset(s.tte_valid_data(), 1, n);
+}
+
+// Pow-batch input of one cell: growth() guards eff <= 0 -> 0, so those
+// lanes get a benign 1.0 and the combine zeroes their result (the blend
+// matches the scalar guard exactly). eff / 1000.0 is one IEEE division in
+// every tier.
+inline double growth_input(double eff) {
+  return eff > 0.0 ? eff / 1000.0 : 1.0;
+}
+
+void dense_growth_in_scalar_range(const double* eff, double* in,
+                                  std::size_t i0, std::size_t i1) {
+  for (std::size_t i = i0; i < i1; ++i) in[i] = growth_input(eff[i]);
+}
+
+#if FM_KERNELS_X86
+
+__attribute__((target("avx2,fma"))) void dense_growth_in_avx2(
+    const double* eff, double* in, std::size_t n) {
+  const __m256d vzero = _mm256_setzero_pd();
+  const __m256d vone = _mm256_set1_pd(1.0);
+  const __m256d vk = _mm256_set1_pd(1000.0);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d e = _mm256_loadu_pd(eff + i);
+    const __m256d pos = _mm256_cmp_pd(e, vzero, _CMP_GT_OQ);
+    _mm256_storeu_pd(in + i,
+                     _mm256_blendv_pd(vone, _mm256_div_pd(e, vk), pos));
+  }
+  dense_growth_in_scalar_range(eff, in, i, n);
+}
+
+__attribute__((target("avx512f,avx512dq,avx512bw,avx512vl,avx2,fma"))) void
+dense_growth_in_avx512(const double* eff, double* in, std::size_t n) {
+  const __m512d vzero = _mm512_setzero_pd();
+  const __m512d vone = _mm512_set1_pd(1.0);
+  const __m512d vk = _mm512_set1_pd(1000.0);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512d e = _mm512_loadu_pd(eff + i);
+    const __mmask8 pos = _mm512_cmp_pd_mask(e, vzero, _CMP_GT_OQ);
+    _mm512_storeu_pd(in + i, _mm512_mask_div_pd(vone, pos, e, vk));
+  }
+  dense_growth_in_scalar_range(eff, in, i, n);
+}
+
+#endif  // FM_KERNELS_X86
+
+void dense_growth_in(const double* eff, double* in, std::size_t n) {
+#if FM_KERNELS_X86
+  switch (fmm::active_isa()) {
+    case fmm::Isa::kAvx512: dense_growth_in_avx512(eff, in, n); return;
+    case fmm::Isa::kAvx2: dense_growth_in_avx2(eff, in, n); return;
+    case fmm::Isa::kScalar: break;
+  }
+#endif
+  dense_growth_in_scalar_range(eff, in, 0, n);
+}
+
+// The one erase-time cache refill, shared by every bulk reader of the cache
+// (the erase-verify query and pass 1 of the erase pulse): gather every stale
+// entry of every job, run one fm_pow_pos_n batch per run of jobs sharing
+// damage_exponent (fm_pow_pos_n is bit-identical to the scalar growth() the
+// cache getter runs, and elementwise, so grouping cannot change bits), then
+// combine — vectorized when a job's whole segment is stale, through
+// prime_tte otherwise. Each entry ends bit-identical to nominal_tte_us; the
+// cache is a memo, so refilling early can change no observable state. `Job`
+// is any type with `seg` and `phys` pointers (ErasePulseJob, CacheJob).
+struct CacheJob {
+  const SegmentSoA* seg;
+  const PhysParams* phys;
+};
+
+template <class Job>
+void refill_tte(const Job* jobs, std::size_t n_jobs) {
+  KernelArena& a = arena();
+  std::size_t total = 0;
+  for (std::size_t j = 0; j < n_jobs; ++j) total += jobs[j].seg->size();
+  a.growth_in.resize(total);
+  a.growth_out.resize(total);
+  a.stale_idx.resize(total);
+  a.job_stale_off.resize(n_jobs + 1);
+  std::size_t n_stale = 0;
+  for (std::size_t j = 0; j < n_jobs; ++j) {
+    a.job_stale_off[j] = n_stale;
+    const SegmentSoA& s = *jobs[j].seg;
+    const std::size_t n = s.size();
+    const std::uint8_t* valid = s.tte_valid_data();
+    if (std::memchr(valid, 0, n) == nullptr) continue;  // all warm
+    if (std::memchr(valid, 1, n) == nullptr) {  // every entry stale
+      dense_growth_in(s.eff_cycles.data(), a.growth_in.data() + n_stale, n);
+      n_stale += n;
+      continue;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (valid[i]) continue;
+      a.stale_idx[n_stale] = i;
+      a.growth_in[n_stale] = growth_input(s.eff_cycles[i]);
+      ++n_stale;
+    }
+  }
+  a.job_stale_off[n_jobs] = n_stale;
+  if (n_stale == 0) return;
+
+  for (std::size_t j0 = 0; j0 < n_jobs;) {
+    std::size_t j1 = j0 + 1;
+    while (j1 < n_jobs &&
+           jobs[j1].phys->damage_exponent == jobs[j0].phys->damage_exponent)
+      ++j1;
+    const std::size_t k0 = a.job_stale_off[j0];
+    fmm::fm_pow_pos_n(a.growth_in.data() + k0, jobs[j0].phys->damage_exponent,
+                      a.growth_out.data() + k0, a.job_stale_off[j1] - k0);
+    j0 = j1;
+  }
+
+  for (std::size_t j = 0; j < n_jobs; ++j) {
+    const SegmentSoA& s = *jobs[j].seg;
+    const PhysParams& p = *jobs[j].phys;
+    const std::size_t off = a.job_stale_off[j];
+    const std::size_t cnt = a.job_stale_off[j + 1] - off;
+    if (cnt == s.size()) {
+      combine_dense(s, p, a.growth_out.data() + off, cnt);
+      continue;
+    }
+    for (std::size_t k = 0; k < cnt; ++k) {
+      const std::size_t i = a.stale_idx[off + k];
+      const double g = s.eff_cycles[i] > 0.0 ? a.growth_out[off + k] : 0.0;
+      s.prime_tte(i, static_cast<double>(s.tte_fresh_us[i]) *
+                         p.slowdown_from_growth(
+                             static_cast<double>(s.susceptibility[i]), g));
+    }
+  }
+}
+
+// --- erase-verify max over the warm cache ---------------------------------
+// Max of the cached erase times of programmed cells (0 if none). Each lane
+// folds x > acc ? x : acc from +0.0 — the scalar std::max(acc, x) — so a
+// NaN entry never wins and no lane ever holds -0.0 or NaN. Max over such
+// values is exact in any order: the vector folds return the scalar fold's
+// bits.
+
+double max_programmed_scalar_range(const SegmentSoA& s, std::size_t i0,
+                                   std::size_t i1, double acc) {
+  const double* cache = s.tte_cache_data();
+  for (std::size_t i = i0; i < i1; ++i)
+    if (s.level[i] != kErased) acc = std::max(acc, cache[i]);
+  return acc;
+}
+
+#if FM_KERNELS_X86
+
+__attribute__((target("avx2,fma"))) double max_programmed_avx2(
+    const SegmentSoA& s) {
+  const std::size_t n = s.size();
+  const double* cache = s.tte_cache_data();
+  __m256d vmax = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    std::uint32_t lb;
+    std::memcpy(&lb, s.level.data() + i, 4);
+    const __m256d m_er = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+        _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(lb))),
+        _mm256_set1_epi64x(kErased)));
+    // erased lanes contribute +0.0, which never beats the zero start;
+    // max_pd(x, acc) is x > acc ? x : acc
+    vmax = _mm256_max_pd(_mm256_andnot_pd(m_er, _mm256_loadu_pd(cache + i)),
+                         vmax);
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, vmax);
+  double acc = 0.0;
+  for (const double v : lanes) acc = std::max(acc, v);
+  return max_programmed_scalar_range(s, i, n, acc);
+}
+
+__attribute__((target("avx512f,avx512dq,avx512bw,avx512vl,avx2,fma"))) double
+max_programmed_avx512(const SegmentSoA& s) {
+  const std::size_t n = s.size();
+  const double* cache = s.tte_cache_data();
+  __m512d vmax = _mm512_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i lb = _mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(s.level.data() + i));
+    const __mmask8 m_prog = static_cast<__mmask8>(_mm_cmpneq_epi8_mask(
+        lb, _mm_set1_epi8(static_cast<char>(kErased))));
+    vmax = _mm512_mask_max_pd(vmax, m_prog, _mm512_loadu_pd(cache + i), vmax);
+  }
+  alignas(64) double lanes[8];
+  _mm512_store_pd(lanes, vmax);
+  double acc = 0.0;
+  for (const double v : lanes) acc = std::max(acc, v);
+  return max_programmed_scalar_range(s, i, n, acc);
+}
+
+#endif  // FM_KERNELS_X86
+
+double max_programmed_tte(const SegmentSoA& s) {
+#if FM_KERNELS_X86
+  switch (fmm::active_isa()) {
+    case fmm::Isa::kAvx512: return max_programmed_avx512(s);
+    case fmm::Isa::kAvx2: return max_programmed_avx2(s);
+    case fmm::Isa::kScalar: break;
+  }
+#endif
+  return max_programmed_scalar_range(s, 0, s.size(), 0.0);
 }
 
 // --- erase-pulse pass 3: the per-cell decision logic -----------------------
@@ -423,8 +629,8 @@ void erase_pulse_segments(KernelMode m, const ErasePulseJob* jobs,
   // survivor sets (whole vector lanes even when each job's share is sparse):
   //
   //   1. refill stale nominal-erase-time cache entries vector-wide
-  //      (fm_pow_pos_n is bit-identical to the scalar growth() the cache
-  //      getter runs), batching jobs that share damage_exponent;
+  //      (refill_tte; after an erase-verify query the cache is already
+  //      warm and this pass finds nothing to do);
   //   2. draw each job's per-cell jitter normals from that job's own RNG in
   //      exact scalar cell order (the RNG stream is observable state), then
   //      exponentiate the whole concatenation in one batch;
@@ -434,6 +640,8 @@ void erase_pulse_segments(KernelMode m, const ErasePulseJob* jobs,
   // Per-job results are byte-identical to sequential erase_pulse_segment
   // calls: passes 1/2 are elementwise (grouping cannot change bits) and
   // pass 3 touches one job at a time.
+  refill_tte(jobs, n_jobs);
+
   KernelArena& a = arena();
   a.job_cell_off.resize(n_jobs + 1);
   std::size_t total = 0;
@@ -442,57 +650,6 @@ void erase_pulse_segments(KernelMode m, const ErasePulseJob* jobs,
     total += jobs[j].seg->size();
   }
   a.job_cell_off[n_jobs] = total;
-
-  a.growth_in.resize(total);
-  a.growth_out.resize(total);
-  a.stale_idx.resize(total);
-  a.job_stale_off.resize(n_jobs + 1);
-  std::size_t n_stale = 0;
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    a.job_stale_off[j] = n_stale;
-    const SegmentSoA& s = *jobs[j].seg;
-    const std::size_t n = s.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (s.tte_cached(i)) continue;
-      a.stale_idx[n_stale] = i;
-      // growth() guards eff <= 0 -> 0; feed the vector lane a benign 1.0
-      // and zero the result in the combine so the blend matches the scalar
-      // guard exactly.
-      a.growth_in[n_stale] =
-          s.eff_cycles[i] > 0.0 ? s.eff_cycles[i] / 1000.0 : 1.0;
-      ++n_stale;
-    }
-  }
-  a.job_stale_off[n_jobs] = n_stale;
-
-  for (std::size_t j0 = 0; j0 < n_jobs;) {
-    std::size_t j1 = j0 + 1;
-    while (j1 < n_jobs &&
-           jobs[j1].phys->damage_exponent == jobs[j0].phys->damage_exponent)
-      ++j1;
-    const std::size_t k0 = a.job_stale_off[j0];
-    fmm::fm_pow_pos_n(a.growth_in.data() + k0, jobs[j0].phys->damage_exponent,
-                      a.growth_out.data() + k0, a.job_stale_off[j1] - k0);
-    j0 = j1;
-  }
-
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    SegmentSoA& s = *jobs[j].seg;
-    const PhysParams& p = *jobs[j].phys;
-    const std::size_t off = a.job_stale_off[j];
-    const std::size_t cnt = a.job_stale_off[j + 1] - off;
-    if (cnt == s.size()) {
-      combine_dense(s, p, a.growth_out.data() + off, cnt);
-      continue;
-    }
-    for (std::size_t k = 0; k < cnt; ++k) {
-      const std::size_t i = a.stale_idx[off + k];
-      const double g = s.eff_cycles[i] > 0.0 ? a.growth_out[off + k] : 0.0;
-      s.prime_tte(i, static_cast<double>(s.tte_fresh_us[i]) *
-                         p.slowdown_from_growth(
-                             static_cast<double>(s.susceptibility[i]), g));
-    }
-  }
 
   a.draw_idx.resize(total);
   a.jitter.resize(total);
@@ -778,19 +935,19 @@ void bake_segment(KernelMode m, SegmentSoA& s, const PhysParams& p,
 
 double time_to_full_erase_us(KernelMode m, const SegmentSoA& s,
                              const PhysParams& p) {
-  const std::size_t n = s.size();
-  double max_tte = 0.0;
   if (m == KernelMode::kReference) {
-    for (std::size_t i = 0; i < n; ++i) {
+    double max_tte = 0.0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
       const Cell c = gather(s, i);
       if (!c.erased()) max_tte = std::max(max_tte, c.tte_us(p));
     }
     return max_tte;
   }
-  for (std::size_t i = 0; i < n; ++i)
-    if (s.level[i] != kErased)
-      max_tte = std::max(max_tte, s.nominal_tte_us(i, p));
-  return max_tte;
+  // Refill the whole cache, not only the programmed cells the max needs:
+  // the erase pulse that follows the query then finds it warm.
+  const CacheJob job{&s, &p};
+  refill_tte(&job, 1);
+  return max_programmed_tte(s);
 }
 
 }  // namespace kernels

@@ -80,8 +80,9 @@ class SegmentSoA {
 
   /// Install a precomputed nominal erase time for cell `i`. The value MUST
   /// be bit-identical to what nominal_tte_us would compute — the vectorized
-  /// erase-pulse kernel satisfies this by evaluating the same fm_pow /
-  /// slowdown_from_growth pipeline 4/8-wide (util/fm_math.hpp).
+  /// cache refill (shared by the erase-verify query and the erase pulse)
+  /// satisfies this by evaluating the same fm_pow / slowdown_from_growth
+  /// pipeline 4/8-wide (util/fm_math.hpp).
   ///
   /// THREAD CONTRACT (single-owner): prime_tte / nominal_tte_us write the
   /// mutable cache under `const`, so a SegmentSoA — and therefore the die
@@ -198,7 +199,10 @@ void bake_segment(KernelMode m, SegmentSoA& s, const PhysParams& p,
                   double hours);
 
 /// Max nominal tte over still-programmed cells (0 if none) — the
-/// controller-side erase-verify query. Rides the erase-time cache.
+/// controller-side erase-verify query. The batched path refills every stale
+/// erase-time cache entry (not only the programmed cells the max needs) with
+/// the same vectorized refill the erase pulse runs as its pass 1, so the
+/// pulse that follows the query finds the cache warm.
 double time_to_full_erase_us(KernelMode m, const SegmentSoA& s,
                              const PhysParams& p);
 

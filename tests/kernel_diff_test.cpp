@@ -10,14 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/imprint.hpp"
 #include "core/watermark.hpp"
 #include "fleet/fleet.hpp"
 #include "mcu/persist.hpp"
@@ -468,6 +471,166 @@ TEST(KernelDiff, InterleavedPulseMatchesSequentialAcrossIsa) {
       EXPECT_EQ(base, run(/*interleaved=*/false, mode));
       EXPECT_EQ(base, run(/*interleaved=*/true, mode));
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Enroll-path differential: the daemon's kEnroll runs the P/E-loop imprint
+// with the accelerated erase (an erase-verify query, then an erase pulse
+// that ends at the queried time, every cycle) rather than batch wear. Die
+// dumps (noise-RNG position included) and ImprintReports must match across
+// kernel modes under every ISA tier. Die 1 carries factory defects: stuck
+// cells keep their cache entries warm through every pulse, so its refills
+// take the sparse path while die 0's take the dense one.
+// ---------------------------------------------------------------------------
+
+struct EnrollSnapshot {
+  std::vector<std::string> dies;
+  std::vector<std::int64_t> elapsed_ns;
+  std::vector<std::int64_t> mean_cycle_ns;
+  std::vector<double> final_query_us;
+};
+
+DeviceConfig enroll_config(KernelMode mode, std::size_t die) {
+  DeviceConfig cfg = config_with(mode);
+  if (die == 1) {
+    cfg.phys.defect_stuck_erased_ppm = 2000.0;
+    cfg.phys.defect_stuck_programmed_ppm = 1000.0;
+  }
+  return cfg;
+}
+
+EnrollSnapshot run_accelerated_imprint(KernelMode mode) {
+  constexpr std::size_t kDies = 2;
+  EnrollSnapshot snap;
+  for (std::size_t d = 0; d < kDies; ++d) {
+    Device dev(enroll_config(mode, d), kMaster + d);
+    const auto& g = dev.config().geometry;
+    WatermarkSpec spec = diff_spec(d);
+    const BitVec pattern =
+        encode_watermark(spec, g.segment_cells(0)).segment_pattern;
+    ImprintOptions io;
+    io.npe = 1'500;
+    io.accelerated = true;
+    const ImprintReport r =
+        imprint_flashmark(dev.hal(), g.segment_base(0), pattern, io);
+    snap.elapsed_ns.push_back(r.elapsed.as_ns());
+    snap.mean_cycle_ns.push_back(r.mean_cycle_time.as_ns());
+    snap.final_query_us.push_back(dev.array().time_to_full_erase_us(0));
+    snap.dies.push_back(dump_device(dev) + dump_array(dev.array()));
+  }
+  return snap;
+}
+
+TEST(KernelDiff, AcceleratedImprintByteIdenticalAcrossModesAndIsa) {
+  EnrollSnapshot base;
+  {
+    IsaCapGuard scalar(fmm::Isa::kScalar);
+    base = run_accelerated_imprint(KernelMode::kReference);
+  }
+  for (const fmm::Isa cap : testable_isas()) {
+    IsaCapGuard guard(cap);
+    SCOPED_TRACE(std::string("isa cap ") + fmm::to_string(cap));
+    for (KernelMode mode : {KernelMode::kReference, KernelMode::kBatched}) {
+      SCOPED_TRACE(to_string(mode));
+      const EnrollSnapshot got = run_accelerated_imprint(mode);
+      EXPECT_EQ(base.dies, got.dies);
+      EXPECT_EQ(base.elapsed_ns, got.elapsed_ns);
+      EXPECT_EQ(base.mean_cycle_ns, got.mean_cycle_ns);
+      EXPECT_EQ(base.final_query_us, got.final_query_us);
+    }
+  }
+  // Non-vacuous: every cycle's erase was cut short of the full segment
+  // erase, and the die still holds programmed cells to query.
+  const std::int64_t full_erase_ns =
+      DeviceConfig::msp430f5438().timing.t_erase_segment.as_ns();
+  for (std::size_t d = 0; d < base.dies.size(); ++d) {
+    EXPECT_LT(base.mean_cycle_ns[d], full_erase_ns);
+    EXPECT_GT(base.final_query_us[d], 0.0);
+  }
+}
+
+// The prime_tte contract: after an erase-verify query every cache entry is
+// warm and bit-equals the scalar tte_fresh * slowdown(susc, eff) — on the
+// dense refill (defect-free die) and the sparse one (defective die), under
+// every ISA tier, checked after every cycle of an accelerated imprint.
+TEST(KernelDiff, EraseVerifyQueryRefillsWholeCacheBitExact) {
+  for (const fmm::Isa cap : testable_isas()) {
+    IsaCapGuard guard(cap);
+    SCOPED_TRACE(std::string("isa cap ") + fmm::to_string(cap));
+    for (std::size_t d = 0; d < 2; ++d) {
+      SCOPED_TRACE("die " + std::to_string(d));
+      Device dev(enroll_config(KernelMode::kBatched, d), kMaster + d);
+      const auto& g = dev.config().geometry;
+      const Addr base = g.segment_base(0);
+      const std::vector<std::uint16_t> words = pattern_to_words(
+          g, 0, encode_watermark(diff_spec(d), g.segment_cells(0))
+                    .segment_pattern);
+      const PhysParams& p = dev.config().phys;
+      std::size_t defects = 0;
+      for (int cycle = 0; cycle < 64; ++cycle) {
+        SCOPED_TRACE("cycle " + std::to_string(cycle));
+        dev.hal().program_block(base, words);
+        // The program left the programmed cells stale.
+        const SegmentSoA* s = dev.array().materialized_segment(0);
+        ASSERT_NE(s, nullptr);
+        std::size_t stale = 0;
+        for (std::size_t i = 0; i < s->size(); ++i) stale += !s->tte_cached(i);
+        ASSERT_GT(stale, 0u);
+        (void)dev.array().time_to_full_erase_us(0);
+        defects = 0;
+        for (std::size_t i = 0; i < s->size(); ++i) {
+          ASSERT_TRUE(s->tte_cached(i)) << "cell " << i;
+          const double want =
+              static_cast<double>(s->tte_fresh_us[i]) *
+              p.slowdown(static_cast<double>(s->susceptibility[i]),
+                         s->eff_cycles[i]);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(s->tte_cache_data()[i]),
+                    std::bit_cast<std::uint64_t>(want))
+              << "cell " << i;
+          defects += s->defect[i] != 0;
+        }
+        dev.hal().erase_segment_auto(base);
+      }
+      if (d == 1) EXPECT_GT(defects, 0u);  // the sparse path ran
+    }
+  }
+}
+
+// Cell::restore checks only the sign of eff_cycles, so a die file can hold
+// +inf. With susceptibility 0 that cell's erase time is
+// tte_fresh * fma(0, inf, 1) = NaN; the scalar max skips it, and so must
+// every vector tier of the erase-verify query.
+TEST(KernelDiff, EraseVerifyQueryMatchesScalarOnNaNEraseTimes) {
+  const PhysParams p = PhysParams::msp430_calibrated();
+  auto build = [] {
+    SegmentSoA s(37);  // not a lane multiple: the scalar tails run too
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      Cell::Snapshot c{24.0f, 1.0f, 500.0 * static_cast<double>(i), 0.0,
+                       static_cast<std::uint8_t>(i % 3 == 0 ? 1 : 0), 0, 0,
+                       0.0f};
+      if (i == 13) c.tte_fresh_us = 1000.0f;  // the max sits mid-vector
+      // NaN cells, programmed, some of them last in their vector lane
+      if (i % 5 == 1 || i == 34) {
+        c.susceptibility = 0.0f;
+        c.eff_cycles = std::numeric_limits<double>::infinity();
+        c.level = 0;
+      }
+      s.assign(i, c);
+    }
+    return s;
+  };
+  ASSERT_TRUE(std::isnan(Cell::restore(build().snapshot(1)).tte_us(p)));
+  const double want =
+      kernels::time_to_full_erase_us(KernelMode::kReference, build(), p);
+  ASSERT_FALSE(std::isnan(want));
+  for (const fmm::Isa cap : testable_isas()) {
+    IsaCapGuard guard(cap);
+    SCOPED_TRACE(std::string("isa cap ") + fmm::to_string(cap));
+    const SegmentSoA s = build();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  kernels::time_to_full_erase_us(KernelMode::kBatched, s, p)),
+              std::bit_cast<std::uint64_t>(want));
   }
 }
 
