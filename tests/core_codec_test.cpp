@@ -2,7 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "param_bytes.hpp"
+
 namespace flashmark {
+
+// Keeps the Values/CodecFieldSweep case names stable across builds (see
+// param_bytes.hpp). List every WatermarkFields field here.
+void PrintTo(const WatermarkFields& f, std::ostream* os) {
+  static_assert(sizeof(WatermarkFields) == 12, "WatermarkFields changed: update PrintTo");
+  test::print_fields_as_bytes(f, os, f.manufacturer_id, f.die_id, f.speed_grade, f.status,
+                              f.date_code);
+}
+
 namespace {
 
 WatermarkFields sample_fields() {

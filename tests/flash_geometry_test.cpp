@@ -4,7 +4,19 @@
 
 #include <stdexcept>
 
+#include "param_bytes.hpp"
+
 namespace flashmark {
+
+// Keeps the Families/GeometryFamilies case names stable across builds (see
+// param_bytes.hpp). List every FlashGeometry field here.
+void PrintTo(const FlashGeometry& g, std::ostream* os) {
+  static_assert(sizeof(FlashGeometry) == 64, "FlashGeometry changed: update PrintTo");
+  test::print_fields_as_bytes(g, os, g.main_base, g.bank_bytes, g.n_banks, g.main_segment_bytes,
+                              g.info_base, g.n_info_segments, g.info_segment_bytes,
+                              g.word_bytes);
+}
+
 namespace {
 
 class GeometryFamilies : public ::testing::TestWithParam<FlashGeometry> {};

@@ -18,6 +18,10 @@ struct BadField {
   std::function<void(PhysParams&)> mutate;
 };
 
+// gtest's default printer would dump the bytes of `name` (a pointer) into
+// each case's ctest name, so the names would change with every build.
+void PrintTo(const BadField& f, std::ostream* os) { *os << f.name; }
+
 class PhysParamsValidation : public ::testing::TestWithParam<BadField> {};
 
 TEST_P(PhysParamsValidation, RejectsBadValue) {
