@@ -15,11 +15,10 @@
 // collapse means someone de-vectorized the batched path (or sped up the
 // reference path without moving the kernels — also worth a look).
 //
-// --check validates the pin file BEFORE measuring, with the strict parser
-// in util/pinfile.hpp: a corrupt, truncated, or zero-valued pin exits 2
-// with a message instead of flowing through as -1/NaN and silently passing
-// every ratio comparison. A *missing* pin file stays legal (floor-only
-// check — the first run on a fresh host has nothing to compare against).
+// --check validates the pin file BEFORE measuring (bench/pin_gate.hpp): a
+// missing, corrupt, truncated, zero or NaN pin exits 2 with a message
+// instead of flowing through as -1/NaN and silently passing every ratio
+// comparison. A fresh host pins first with --write.
 //
 // This deliberately uses a plain chrono harness instead of google-benchmark:
 // the check mode needs a machine-readable artifact with our own pass/fail
@@ -44,7 +43,7 @@
 #include "flash/geometry.hpp"
 #include "phys/kernels.hpp"
 #include "phys/params.hpp"
-#include "util/pinfile.hpp"
+#include "pin_gate.hpp"
 
 namespace flashmark {
 namespace {
@@ -119,37 +118,6 @@ Workload make_erase_pulse(KernelMode mode) {
           double(kPulses)};
 }
 
-/// ns per segment-pulse with 8-die interleave: the erase-pulse recipe on 8
-/// independent dies, the pulses driven through FlashArray::partial_erase_many
-/// so the batched kernels fill vector lanes with cells from all 8 segments
-/// at once (fleet::pulse_sweep_batch's hot loop). Normalized per
-/// segment-pulse, so the number is directly comparable to erase_pulse.
-Workload make_erase_pulse_x8(KernelMode mode) {
-  const FlashGeometry g = FlashGeometry::msp430f5438();
-  constexpr std::size_t kDies = 8;
-  auto dies = std::make_shared<std::vector<std::unique_ptr<FlashArray>>>();
-  auto arrays = std::make_shared<std::vector<FlashArray*>>();
-  for (std::size_t k = 0; k < kDies; ++k) {
-    dies->push_back(std::make_unique<FlashArray>(
-        g, PhysParams::msp430_calibrated(), kSeed + k));
-    dies->back()->set_kernel_mode(mode);
-    arrays->push_back(dies->back().get());
-  }
-  auto zeros = std::make_shared<std::vector<std::uint16_t>>(256, 0);
-  constexpr int kPulses = 4;
-  return {[g, dies, arrays, zeros] {
-            for (FlashArray* a : *arrays) {
-              a->erase_segment(0);
-              a->program_words(g.segment_base(0), zeros->data(),
-                               zeros->size());
-            }
-            for (int i = 0; i < kPulses; ++i)
-              FlashArray::partial_erase_many(arrays->data(), arrays->size(),
-                                             0, 30.0);
-          },
-          double(kPulses) * kDies};
-}
-
 /// ns per 3-read majority segment read (the analyze/extract hot loop).
 Workload make_read_majority(KernelMode mode) {
   const FlashGeometry g = FlashGeometry::msp430f5438();
@@ -203,50 +171,6 @@ std::string to_json(const std::vector<Case>& cases) {
   return os.str();
 }
 
-/// Load and strictly validate the pin file for --check. Exit codes by
-/// contract (bench/CMakeLists.txt kernel_pin_reject relies on them):
-///   0 with *have_pin=false  — file absent: floor-only check is legal
-///   0 with *have_pin=true   — parsed, every case has finite positive
-///                             reference_ns / batched_ns / speedup pins
-///   2                       — file exists but is malformed or carries a
-///                             missing/zero/negative pin (never silently
-///                             degrade to an unpinned check)
-int load_pins_or_die(const std::string& path, const std::vector<Case>& cases,
-                     util::PinFile* pins, bool* have_pin) {
-  *have_pin = false;
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe) return 0;  // no pin yet (fresh host): floor-only
-  }
-  std::string err;
-  std::optional<util::PinFile> parsed = util::load_pin_file(path, &err);
-  if (!parsed) {
-    std::fprintf(stderr, "FAIL: bad pin file %s: %s\n", path.c_str(),
-                 err.c_str());
-    return 2;
-  }
-  for (const Case& c : cases) {
-    for (const char* suffix : {"_reference_ns", "_batched_ns", "_speedup"}) {
-      const std::string key = std::string(c.key) + suffix;
-      const std::optional<double> v = parsed->get(key);
-      if (!v) {
-        std::fprintf(stderr, "FAIL: pin file %s: missing key \"%s\"\n",
-                     path.c_str(), key.c_str());
-        return 2;
-      }
-      if (*v <= 0.0) {
-        std::fprintf(stderr,
-                     "FAIL: pin file %s: key \"%s\" = %g must be > 0\n",
-                     path.c_str(), key.c_str(), *v);
-        return 2;
-      }
-    }
-  }
-  *pins = std::move(*parsed);
-  *have_pin = true;
-  return 0;
-}
-
 int run(int argc, char** argv) {
   bool write = false, check = false;
   std::string path = "BENCH_kernels.json";
@@ -260,17 +184,19 @@ int run(int argc, char** argv) {
   }
 
   std::vector<Case> cases = {{"erase_pulse", &make_erase_pulse},
-                             {"erase_pulse_x8", &make_erase_pulse_x8},
                              {"read_majority", &make_read_majority},
                              {"program_words", &make_program_words}};
 
   // Validate the pin before spending benchmark time: a corrupt pin must
   // fail in milliseconds, and must never reach the ratio comparisons.
-  util::PinFile pins;
-  bool have_pin = false;
+  std::optional<util::PinFile> pins;
   if (check) {
-    if (const int rc = load_pins_or_die(path, cases, &pins, &have_pin))
-      return rc;
+    std::vector<std::string> keys;
+    for (const Case& c : cases)
+      for (const char* suffix : {"_reference_ns", "_batched_ns", "_speedup"})
+        keys.push_back(std::string(c.key) + suffix);
+    pins = bench::load_gate_pins(path, keys);
+    if (!pins) return 2;
   }
 
   for (Case& c : cases) {
@@ -301,12 +227,8 @@ int run(int argc, char** argv) {
                    pulse.speedup());
       return 1;
     }
-    if (!have_pin) {
-      std::printf("[no pin at %s — floor check only]\n", path.c_str());
-      return 0;
-    }
     for (const Case& c : cases) {
-      const double pinned = *pins.get(std::string(c.key) + "_speedup");
+      const double pinned = *pins->get(std::string(c.key) + "_speedup");
       if (c.speedup() < 0.75 * pinned) {
         std::fprintf(stderr,
                      "FAIL: %s speedup %.2fx regressed >25%% vs "
@@ -316,7 +238,7 @@ int run(int argc, char** argv) {
       }
     }
     std::printf("[check ok: %.2fx vs pinned %.2fx, floor 4.5x]\n",
-                pulse.speedup(), *pins.get("erase_pulse_speedup"));
+                pulse.speedup(), *pins->get("erase_pulse_speedup"));
   }
   return 0;
 }

@@ -256,50 +256,26 @@ BENCHMARK(BM_FleetAuditBatch)->Args({8, 1})->Args({8, 0});
 // paths (arg 0). Compare .../0 (reference) against .../1 (batched) for the
 // SoA speedup; the pinned ratio gate lives in kernel_bench (ctest -L perf),
 // this is the exploratory view. Recipe mirrors bench_erase_pulse there.
+// Also the allocation guard for the erase pulse: after the warm-up rep,
+// every batched pulse must run entirely out of the thread-local KernelArena
+// scratch (phys/kernels.cpp). The batched arg FAILS (SkipWithError) if a
+// steady-state pulse touches the heap.
 void BM_ErasePulseSegment(benchmark::State& state) {
   DeviceConfig cfg = DeviceConfig::msp430f5438();
   cfg.kernel_mode = static_cast<KernelMode>(state.range(0));
   Device dev(cfg, kDieSeed);
   const Addr addr = seg_addr(dev, 0);
   const std::vector<std::uint16_t> zeros(256, 0);
-  for (auto _ : state) {
+  auto condition = [&] {
     dev.hal().erase_segment(addr);
     dev.hal().program_block(addr, zeros);
-    for (int i = 0; i < 4; ++i)
-      dev.hal().partial_erase_segment(addr, SimTime::us(30));
-  }
-  state.SetItemsProcessed(state.iterations() * 4);
-}
-BENCHMARK(BM_ErasePulseSegment)->Arg(0)->Arg(1);
-
-// Interleaved erase pulses across 8 dies through FlashArray::partial_erase_many
-// (fleet::pulse_sweep_batch's hot loop) — and the allocation guard for the
-// kernel arena: after the warm-up rep, every pulse must run entirely out of
-// the thread-local KernelArena scratch (phys/kernels.cpp). The bench FAILS
-// (SkipWithError) if a steady-state pulse touches the heap.
-void BM_ErasePulseInterleaved(benchmark::State& state) {
-  constexpr std::size_t kDies = 8;
-  const FlashGeometry g = FlashGeometry::msp430f5438();
-  std::vector<std::unique_ptr<FlashArray>> dies;
-  std::vector<FlashArray*> arrays;
-  for (std::size_t k = 0; k < kDies; ++k) {
-    dies.push_back(std::make_unique<FlashArray>(
-        g, PhysParams::msp430_calibrated(), kDieSeed + k));
-    arrays.push_back(dies.back().get());
-  }
-  const std::vector<std::uint16_t> zeros(256, 0);
-  auto condition = [&] {
-    for (FlashArray* a : arrays) {
-      a->erase_segment(0);
-      a->program_words(g.segment_base(0), zeros.data(), zeros.size());
-    }
   };
   auto pulses = [&] {
     for (int i = 0; i < 4; ++i)
-      FlashArray::partial_erase_many(arrays.data(), kDies, 0, 30.0);
+      dev.hal().partial_erase_segment(addr, SimTime::us(30));
   };
   condition();
-  pulses();  // warm-up: materializes segments, sizes the arena scratch
+  pulses();  // warm-up: materializes the segment, sizes the arena scratch
   std::uint64_t pulse_allocs = 0;
   for (auto _ : state) {
     condition();
@@ -307,12 +283,12 @@ void BM_ErasePulseInterleaved(benchmark::State& state) {
     pulses();
     pulse_allocs += g_heap_allocs.load(std::memory_order_relaxed) - a0;
   }
-  state.SetItemsProcessed(state.iterations() * 4 * kDies);
+  state.SetItemsProcessed(state.iterations() * 4);
   state.counters["pulse_allocs"] = static_cast<double>(pulse_allocs);
-  if (pulse_allocs != 0)
-    state.SkipWithError("steady-state interleaved erase pulse hit the heap");
+  if (cfg.kernel_mode == KernelMode::kBatched && pulse_allocs != 0)
+    state.SkipWithError("steady-state batched erase pulse hit the heap");
 }
-BENCHMARK(BM_ErasePulseInterleaved);
+BENCHMARK(BM_ErasePulseSegment)->Arg(0)->Arg(1);
 
 // Majority-read kernel under both modes (arg 0), mid-transition so the
 // metastable noise draws are live — the analyze/extract hot loop.

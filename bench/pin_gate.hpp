@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdio>
-#include <initializer_list>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "util/pinfile.hpp"
 
@@ -20,7 +20,7 @@ namespace flashmark::bench {
 /// require every key in `keys` to be present and > 0 (the parser already
 /// guarantees finite). On any failure prints the cause and returns nullopt.
 inline std::optional<util::PinFile> load_gate_pins(
-    const std::string& path, std::initializer_list<const char*> keys) {
+    const std::string& path, const std::vector<std::string>& keys) {
   std::string err;
   std::optional<util::PinFile> pins = util::load_pin_file(path, &err);
   if (!pins) {
@@ -28,16 +28,16 @@ inline std::optional<util::PinFile> load_gate_pins(
                  err.c_str());
     return std::nullopt;
   }
-  for (const char* key : keys) {
+  for (const std::string& key : keys) {
     const std::optional<double> v = pins->get(key);
     if (!v) {
       std::fprintf(stderr, "FAIL: pin file %s: missing key \"%s\"\n",
-                   path.c_str(), key);
+                   path.c_str(), key.c_str());
       return std::nullopt;
     }
     if (!(*v > 0.0)) {
       std::fprintf(stderr, "FAIL: pin file %s: \"%s\" = %g must be > 0\n",
-                   path.c_str(), key, *v);
+                   path.c_str(), key.c_str(), *v);
       return std::nullopt;
     }
   }

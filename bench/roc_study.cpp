@@ -13,13 +13,13 @@
 //       thread invariance matrix, measure throughput, (over)write the pin
 //       file (default BENCH_roc.json in the CWD; ctest passes the repo
 //       root).
-//   roc_study --check [path]   same measurement, then FAIL (exit 1) if
+//   roc_study --check [path]   exit 2 before measuring if the pin file is
+//       missing, malformed, or pins a zero/NaN dies_per_s; otherwise the
+//       same measurement, then FAIL (exit 1) if
 //       * any shard x thread split of {1,2} x {1,4} produces different
 //         curve or threshold bytes (REPRODUCIBILITY.md §9/§11), or
 //       * throughput < 2 dies/s floor, or
 //       * throughput < 0.75x the pinned dies_per_s.
-//       A malformed pin file exits 2 before any benchmarking (strict
-//       util/pinfile parse — never silently degrade to an unpinned check).
 //
 // `ctest -L perf` runs the --check mode (roc_perf_smoke). A die here is
 // far heavier than a lot_study die (a full scenario chain plus six
@@ -36,8 +36,8 @@
 #include <string>
 #include <vector>
 
+#include "pin_gate.hpp"
 #include "scenario/roc.hpp"
-#include "util/pinfile.hpp"
 
 namespace flashmark {
 namespace {
@@ -150,43 +150,6 @@ std::string to_json(const SmokeResult& r) {
   return os.str();
 }
 
-/// Load and strictly validate the pin file for --check. Exit codes by
-/// contract (bench/CMakeLists.txt roc_pin_reject relies on them):
-///   0 with *have_pin=false — file absent: floor-only check is legal
-///   0 with *have_pin=true  — parsed, dies_per_s pin finite and positive
-///   2                      — file exists but is malformed or carries a
-///                            missing/zero/negative pin
-int load_pins_or_die(const std::string& path, util::PinFile* pins,
-                     bool* have_pin) {
-  *have_pin = false;
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe) return 0;  // no pin yet (fresh host): floor-only
-  }
-  std::string err;
-  std::optional<util::PinFile> parsed = util::load_pin_file(path, &err);
-  if (!parsed) {
-    std::fprintf(stderr, "FAIL: bad pin file %s: %s\n", path.c_str(),
-                 err.c_str());
-    return 2;
-  }
-  const std::optional<double> v = parsed->get("dies_per_s");
-  if (!v) {
-    std::fprintf(stderr, "FAIL: pin file %s: missing key \"dies_per_s\"\n",
-                 path.c_str());
-    return 2;
-  }
-  if (*v <= 0.0) {
-    std::fprintf(stderr, "FAIL: pin file %s: \"dies_per_s\" = %g must be "
-                         "> 0\n",
-                 path.c_str(), *v);
-    return 2;
-  }
-  *pins = std::move(*parsed);
-  *have_pin = true;
-  return 0;
-}
-
 int run_study(std::uint64_t dies, unsigned shards, unsigned threads,
               const std::string& csv_dir) {
   const scenario::RocConfig cfg = full_config(dies);
@@ -245,11 +208,10 @@ int run(int argc, char** argv) {
   if (!write && !check) return run_study(dies, shards, threads, csv_dir);
 
   // Validate the pin BEFORE measuring: a corrupt pin must exit 2 fast.
-  util::PinFile pins;
-  bool have_pin = false;
+  std::optional<util::PinFile> pins;
   if (check) {
-    const int rc = load_pins_or_die(path, &pins, &have_pin);
-    if (rc != 0) return rc;
+    pins = bench::load_gate_pins(path, {"dies_per_s"});
+    if (!pins) return 2;
   }
 
   const SmokeResult r = run_smoke();
@@ -288,11 +250,7 @@ int run(int argc, char** argv) {
                  r.dies_per_s);
     ok = false;
   }
-  if (!have_pin) {
-    std::printf("[no pin at %s — floor checks only]\n", path.c_str());
-    return ok ? 0 : 1;
-  }
-  const double pin = *pins.get("dies_per_s");
+  const double pin = *pins->get("dies_per_s");
   if (r.dies_per_s < 0.75 * pin) {
     std::fprintf(stderr,
                  "FAIL: %.2f dies/s regressed >25%% vs pinned %.1f (%s)\n",

@@ -137,40 +137,6 @@ void FlashArray::partial_erase_segment(std::size_t seg, double t_pe_us) {
   meta_dirty_ = true;  // noise RNG advanced
 }
 
-void FlashArray::partial_erase_many(FlashArray* const* arrays, std::size_t n,
-                                    std::size_t seg, double t_pe_us) {
-  if (t_pe_us < 0.0)
-    throw std::invalid_argument("partial_erase_many: negative time");
-  if (n == 0) return;
-  bool uniform_mode = true;
-  for (std::size_t k = 1; k < n; ++k)
-    if (arrays[k]->mode_ != arrays[0]->mode_) uniform_mode = false;
-  if (!uniform_mode) {
-    for (std::size_t k = 0; k < n; ++k)
-      arrays[k]->partial_erase_segment(seg, t_pe_us);
-    return;
-  }
-  // One job per array; ensure_segment may hydrate/manufacture, exactly as
-  // the per-array entry point would. The job table is thread-local scratch
-  // so a steady-state pulse loop never touches the heap (the perf_micro
-  // allocation guard holds the whole pulse path to that).
-  static thread_local std::vector<kernels::ErasePulseJob> jobs;
-  jobs.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    FlashArray& a = *arrays[k];
-    const double effective =
-        t_pe_us *
-        (1.0 + a.phys_.temp_erase_accel_per_K * (a.temperature_c_ - 25.0));
-    jobs[k] = kernels::ErasePulseJob{&a.ensure_segment(seg), &a.phys_,
-                                     effective, &a.noise_rng_};
-  }
-  kernels::erase_pulse_segments(arrays[0]->mode_, jobs.data(), n);
-  for (std::size_t k = 0; k < n; ++k) {
-    arrays[k]->seg_dirty_[seg] = 1;
-    arrays[k]->meta_dirty_ = true;  // noise RNG advanced
-  }
-}
-
 void FlashArray::program_word(Addr addr, std::uint16_t value) {
   const auto [seg, cell0] = locate_word(addr);
   kernels::program_words(mode_, ensure_segment(seg), phys_, cell0, &value, 1,

@@ -65,15 +65,6 @@ class FlashArray {
   void erase_segment(std::size_t seg);
   /// Erase pulse over one segment aborted after t_pe_us microseconds.
   void partial_erase_segment(std::size_t seg, double t_pe_us);
-  /// Interleaved partial-erase pulse over segment `seg` of `n` independent
-  /// arrays (different dies): byte-identical to calling
-  /// arrays[k]->partial_erase_segment(seg, t_pe_us) for k = 0..n-1 in order
-  /// — per-array temperature scaling, noise-RNG streams and dirty marks
-  /// included — but the underlying kernels fill vector lanes across all
-  /// arrays (kernels::erase_pulse_segments). Arrays must be distinct. Mixed
-  /// kernel modes fall back to the sequential per-array path.
-  static void partial_erase_many(FlashArray* const* arrays, std::size_t n,
-                                 std::size_t seg, double t_pe_us);
   /// Program `value` into the word at `addr`: bits that are 0 receive a
   /// program pulse; bits that are 1 leave their cells untouched (NOR flash
   /// can only clear bits).

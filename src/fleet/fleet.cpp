@@ -597,6 +597,89 @@ bool parse_audit_record(const std::string& payload, std::size_t& die,
   }
 }
 
+/// Called with each die's verdict after a successful audit, before its
+/// counters are absorbed (the in-memory audit journals through it).
+using VerdictHook = std::function<void(std::size_t die, const VerifyReport&)>;
+
+/// Counter accounting of one die job: the op counters, the simulated time
+/// the job advanced (not the die's lifetime clock) and the injected faults.
+void absorb_job(DieCounters& counters, Device& dev, SimTime before,
+                const std::optional<fault::FaultyHal>& fhal) {
+  counters.absorb(dev);
+  counters.sim_time -= before;
+  if (fhal) counters.absorb_faults(*fhal);
+}
+
+/// The `cancelled` hook of an extraction-round pipeline: one heartbeat per
+/// round, then the watchdog's verdict or the caller's own hook.
+std::function<bool()> round_hook(DieProgress& token,
+                                 std::function<bool()> user_cancel) {
+  return [&token, user_cancel = std::move(user_cancel)] {
+    token.tick();
+    return token.cancel_requested() || (user_cancel && user_cancel());
+  };
+}
+
+/// The per-die imprint body of both imprint_batch overloads: imprints `dev`
+/// at `addr` through its fault-policy HAL, with `token` wired into the
+/// cancel/heartbeat hooks. The report lands in `report`; the counters are
+/// absorbed whether or not the imprint completes.
+void imprint_die(Device& dev, std::size_t die, Addr addr,
+                 const WatermarkSpec& spec, const FaultPolicy& faults,
+                 DieCounters& counters, DieProgress& token,
+                 ImprintReport& report) {
+  dev.controller().reset_op_counters();
+  const SimTime before = dev.clock().now();
+  std::optional<fault::FaultyHal> fhal;
+  FlashHal& hal = policy_hal(dev, die, faults, fhal);
+  ImprintOptions io;
+  io.npe = spec.npe;
+  io.strategy = spec.strategy;
+  io.accelerated = spec.accelerated;
+  io.max_retries = spec.max_retries;
+  io.cancelled = [&token] { return token.cancel_requested(); };
+  io.on_cycle = [&token](std::uint32_t) { token.tick(); };
+  try {
+    report = imprint_watermark(hal, addr, spec, io);
+    counters.retries += report.retries;
+  } catch (...) {
+    absorb_job(counters, dev, before, fhal);
+    throw;
+  }
+  absorb_job(counters, dev, before, fhal);
+}
+
+/// The per-die audit body of both audit_batch overloads: verifies `dev` at
+/// `addr` through its fault-policy HAL. The verdict lands in `report`; the
+/// counters are absorbed whether or not the verification completes.
+void audit_die(Device& dev, std::size_t die, Addr addr, const VerifyOptions& vo,
+               const FaultPolicy& faults, DieCounters& counters,
+               DieProgress& token, VerifyReport& report,
+               const VerdictHook& on_verdict) {
+  dev.controller().reset_op_counters();
+  const SimTime before = dev.clock().now();
+  std::optional<fault::FaultyHal> fhal;
+  FlashHal& hal = policy_hal(dev, die, faults, fhal);
+  VerifyOptions vo2 = vo;
+  vo2.cancelled = round_hook(token, vo.cancelled);
+  try {
+    report = verify_watermark(hal, addr, vo2);
+    counters.absorb_recovery(report);
+  } catch (...) {
+    absorb_job(counters, dev, before, fhal);
+    throw;
+  }
+  if (on_verdict) on_verdict(die, report);
+  absorb_job(counters, dev, before, fhal);
+}
+
+/// Fold the store's gauges after a store-backed batch (values are
+/// scheduling-dependent at threads > 1: outside the §6 contract).
+void fold_store_stats(const store::DieStore& store) {
+  if (obs::metrics_enabled())
+    store.fold_into(obs::MetricsRegistry::global(), "store");
+}
+
 }  // namespace
 
 ImprintBatchResult imprint_batch(
@@ -654,30 +737,32 @@ ImprintBatchResult imprint_batch(
           return;
         }
 
-        std::optional<fault::FaultyHal> fhal;
-        FlashHal& hal = policy_hal(*dev, die, faults, fhal);
         // The die must land in its slot even when the imprint aborts —
         // a power-lost die still exists and can be re-tested.
         out.dies[die] = std::move(dev);
-        ImprintOptions io;
-        io.npe = spec.npe;
-        io.strategy = spec.strategy;
-        io.accelerated = spec.accelerated;
-        io.max_retries = spec.max_retries;
-        io.cancelled = [&token] { return token.cancel_requested(); };
-        io.on_cycle = [&token](std::uint32_t) { token.tick(); };
-        try {
-          out.reports[die] = imprint_watermark(hal, addr, spec, io);
-          counters.retries += out.reports[die].retries;
-        } catch (...) {
-          counters.absorb(*out.dies[die]);
-          if (fhal) counters.absorb_faults(*fhal);
-          throw;
-        }
-        counters.absorb(*out.dies[die]);
-        if (fhal) counters.absorb_faults(*fhal);
+        imprint_die(*out.dies[die], die, addr, spec, faults, counters, token,
+                    out.reports[die]);
       },
       opts);
+  return out;
+}
+
+ImprintBatchResult imprint_batch(
+    store::DieStore& dies, std::size_t n_dies, std::size_t segment,
+    const std::function<WatermarkSpec(std::size_t)>& spec_of,
+    const FleetOptions& opts) {
+  ImprintBatchResult out;
+  out.reports.resize(n_dies);
+  out.fleet = run_dies(
+      n_dies,
+      [&](std::size_t die, DieCounters& counters, DieProgress& token) {
+        store::DieStore::PinnedDie dev = dies.pin(die);
+        imprint_die(*dev, die, dev->config().geometry.segment_base(segment),
+                    spec_of(die), /*faults=*/{}, counters, token,
+                    out.reports[die]);
+      },
+      opts);
+  fold_store_stats(dies);
   return out;
 }
 
@@ -697,23 +782,15 @@ ExtractBatchResult extract_batch(
         std::optional<fault::FaultyHal> fhal;
         FlashHal& hal = policy_hal(dev, die, faults, fhal);
         ExtractOptions eo2 = eo;
-        const std::function<bool()> user_cancel = eo.cancelled;
-        eo2.cancelled = [&token, user_cancel] {
-          token.tick();  // one heartbeat per extraction round
-          return token.cancel_requested() || (user_cancel && user_cancel());
-        };
+        eo2.cancelled = round_hook(token, eo.cancelled);
         try {
           out.results[die] = extract_flashmark(hal, addr, eo2);
           counters.retries += out.results[die].retries;
         } catch (...) {
-          counters.absorb(dev);
-          counters.sim_time -= before;
-          if (fhal) counters.absorb_faults(*fhal);
+          absorb_job(counters, dev, before, fhal);
           throw;
         }
-        counters.absorb(dev);
-        counters.sim_time -= before;  // only time advanced by this batch
-        if (fhal) counters.absorb_faults(*fhal);
+        absorb_job(counters, dev, before, fhal);
       },
       opts);
   return out;
@@ -765,6 +842,14 @@ AuditBatchResult audit_batch(const std::vector<std::unique_ptr<Device>>& dies,
     }
   }
 
+  VerdictHook record;
+  if (journal)
+    record = [&](std::size_t die, const VerifyReport& r) {
+      const std::string payload = audit_payload(die, r);
+      std::lock_guard<std::mutex> lk(journal_mu);
+      journal->append({"die", payload}, /*sync=*/session.durable);
+    };
+
   out.fleet = run_dies(
       dies.size(),
       [&](std::size_t die, DieCounters& counters, DieProgress& token) {
@@ -772,118 +857,10 @@ AuditBatchResult audit_batch(const std::vector<std::unique_ptr<Device>>& dies,
         // the crashed process. Its counter row stays zero in this process.
         if (restored[die]) return;
         Device& dev = *dies[die];
-        dev.controller().reset_op_counters();
-        const SimTime before = dev.clock().now();
-        const Addr addr = dev.config().geometry.segment_base(segment);
-        std::optional<fault::FaultyHal> fhal;
-        FlashHal& hal = policy_hal(dev, die, faults, fhal);
-        VerifyOptions vo2 = vo;
-        const std::function<bool()> user_cancel = vo.cancelled;
-        vo2.cancelled = [&token, user_cancel] {
-          token.tick();  // one heartbeat per extraction round
-          return token.cancel_requested() || (user_cancel && user_cancel());
-        };
-        try {
-          out.reports[die] = verify_watermark(hal, addr, vo2);
-          counters.absorb_recovery(out.reports[die]);
-        } catch (...) {
-          counters.absorb(dev);
-          counters.sim_time -= before;
-          if (fhal) counters.absorb_faults(*fhal);
-          throw;
-        }
-        if (journal) {
-          const std::string payload = audit_payload(die, out.reports[die]);
-          std::lock_guard<std::mutex> lk(journal_mu);
-          journal->append({"die", payload}, /*sync=*/session.durable);
-        }
-        counters.absorb(dev);
-        counters.sim_time -= before;  // only time advanced by this batch
-        if (fhal) counters.absorb_faults(*fhal);
+        audit_die(dev, die, dev.config().geometry.segment_base(segment), vo,
+                  faults, counters, token, out.reports[die], record);
       },
       opts);
-  return out;
-}
-
-namespace {
-
-/// Fold the store's gauges after a store-backed batch (values are
-/// scheduling-dependent at threads > 1: outside the §6 contract).
-void fold_store_stats(const store::DieStore& store) {
-  if (obs::metrics_enabled())
-    store.fold_into(obs::MetricsRegistry::global(), "store");
-}
-
-}  // namespace
-
-ImprintBatchResult imprint_batch(
-    store::DieStore& dies, std::size_t n_dies, std::size_t segment,
-    const std::function<WatermarkSpec(std::size_t)>& spec_of,
-    const FleetOptions& opts) {
-  ImprintBatchResult out;
-  out.reports.resize(n_dies);
-  out.fleet = run_dies(
-      n_dies,
-      [&](std::size_t die, DieCounters& counters, DieProgress& token) {
-        store::DieStore::PinnedDie dev = dies.pin(die);
-        dev->controller().reset_op_counters();
-        const SimTime before = dev->clock().now();
-        const Addr addr = dev->config().geometry.segment_base(segment);
-        ImprintOptions io;
-        const WatermarkSpec spec = spec_of(die);
-        io.npe = spec.npe;
-        io.strategy = spec.strategy;
-        io.accelerated = spec.accelerated;
-        io.max_retries = spec.max_retries;
-        io.cancelled = [&token] { return token.cancel_requested(); };
-        io.on_cycle = [&token](std::uint32_t) { token.tick(); };
-        try {
-          out.reports[die] = imprint_watermark(dev->hal(), addr, spec, io);
-          counters.retries += out.reports[die].retries;
-        } catch (...) {
-          counters.absorb(*dev);
-          counters.sim_time -= before;
-          throw;
-        }
-        counters.absorb(*dev);
-        counters.sim_time -= before;
-      },
-      opts);
-  fold_store_stats(dies);
-  return out;
-}
-
-ExtractBatchResult extract_batch(store::DieStore& dies, std::size_t n_dies,
-                                 std::size_t segment, const ExtractOptions& eo,
-                                 const FleetOptions& opts) {
-  ExtractBatchResult out;
-  out.results.resize(n_dies);
-  out.fleet = run_dies(
-      n_dies,
-      [&](std::size_t die, DieCounters& counters, DieProgress& token) {
-        store::DieStore::PinnedDie dev = dies.pin(die);
-        dev->controller().reset_op_counters();
-        const SimTime before = dev->clock().now();
-        const Addr addr = dev->config().geometry.segment_base(segment);
-        ExtractOptions eo2 = eo;
-        const std::function<bool()> user_cancel = eo.cancelled;
-        eo2.cancelled = [&token, user_cancel] {
-          token.tick();
-          return token.cancel_requested() || (user_cancel && user_cancel());
-        };
-        try {
-          out.results[die] = extract_flashmark(dev->hal(), addr, eo2);
-          counters.retries += out.results[die].retries;
-        } catch (...) {
-          counters.absorb(*dev);
-          counters.sim_time -= before;
-          throw;
-        }
-        counters.absorb(*dev);
-        counters.sim_time -= before;
-      },
-      opts);
-  fold_store_stats(dies);
   return out;
 }
 
@@ -897,94 +874,8 @@ AuditBatchResult audit_batch(store::DieStore& dies, std::size_t n_dies,
       n_dies,
       [&](std::size_t die, DieCounters& counters, DieProgress& token) {
         store::DieStore::PinnedDie dev = dies.pin(die);
-        dev->controller().reset_op_counters();
-        const SimTime before = dev->clock().now();
-        const Addr addr = dev->config().geometry.segment_base(segment);
-        std::optional<fault::FaultyHal> fhal;
-        FlashHal& hal = policy_hal(*dev, die, faults, fhal);
-        VerifyOptions vo2 = vo;
-        const std::function<bool()> user_cancel = vo.cancelled;
-        vo2.cancelled = [&token, user_cancel] {
-          token.tick();
-          return token.cancel_requested() || (user_cancel && user_cancel());
-        };
-        try {
-          out.reports[die] = verify_watermark(hal, addr, vo2);
-          counters.absorb_recovery(out.reports[die]);
-        } catch (...) {
-          counters.absorb(*dev);
-          counters.sim_time -= before;
-          if (fhal) counters.absorb_faults(*fhal);
-          throw;
-        }
-        counters.absorb(*dev);
-        counters.sim_time -= before;
-        if (fhal) counters.absorb_faults(*fhal);
-      },
-      opts);
-  fold_store_stats(dies);
-  return out;
-}
-
-PulseSweepResult pulse_sweep_batch(store::DieStore& dies, std::size_t n_dies,
-                                   std::size_t segment,
-                                   const std::vector<double>& t_pe_us,
-                                   const FleetOptions& opts,
-                                   std::size_t interleave) {
-  if (interleave == 0)
-    throw std::runtime_error("pulse_sweep_batch: interleave must be > 0");
-  PulseSweepResult out;
-  out.erased_counts.assign(n_dies,
-                           std::vector<std::size_t>(t_pe_us.size(), 0));
-  const std::size_t n_cohorts = (n_dies + interleave - 1) / interleave;
-  out.fleet = run_dies(
-      n_cohorts,
-      [&](std::size_t cohort, DieCounters& counters, DieProgress& token) {
-        const std::size_t d0 = cohort * interleave;
-        const std::size_t d1 = std::min(n_dies, d0 + interleave);
-        const std::size_t n = d1 - d0;
-        counters.die = d0;  // cohort row, labeled by its first die
-
-        // Pins of distinct dies in ascending order: cohorts partition the
-        // die range, so exclusive pins cannot deadlock across jobs.
-        std::vector<store::DieStore::PinnedDie> pinned;
-        pinned.reserve(n);
-        std::vector<FlashArray*> arrays;
-        arrays.reserve(n);
-        for (std::size_t die = d0; die < d1; ++die) {
-          pinned.push_back(dies.pin(die));
-          pinned.back()->controller().reset_op_counters();
-          arrays.push_back(&pinned.back()->array());
-        }
-
-        // Condition: every cell of the segment starts programmed, so the
-        // sweep measures the erase-time distribution of the whole segment.
-        const FlashGeometry& geom = arrays[0]->geometry();
-        const Addr base = geom.segment_base(segment);
-        const std::size_t n_words =
-            geom.segment_bytes(segment) / geom.word_bytes;
-        const std::vector<std::uint16_t> zeros(n_words, 0);
-        for (std::size_t k = 0; k < n; ++k) {
-          arrays[k]->erase_segment(segment);
-          arrays[k]->program_words(base, zeros.data(), n_words);
-          token.tick();
-        }
-
-        // Cumulative pulses, interleaved across the cohort: each call
-        // fills vector lanes with cells from all n dies at once.
-        for (std::size_t p = 0; p < t_pe_us.size(); ++p) {
-          FlashArray::partial_erase_many(arrays.data(), n, segment,
-                                         t_pe_us[p]);
-          for (std::size_t k = 0; k < n; ++k)
-            out.erased_counts[d0 + k][p] = arrays[k]->count_erased(segment);
-          token.tick();
-        }
-
-        // The sweep runs at the array layer, below the controller, so the
-        // op counters are accounted here; the simulated clock is untouched.
-        counters.erase_ops += n * (1 + t_pe_us.size());
-        counters.program_ops += n * n_words;
-        counters.pe_cycles += static_cast<double>(n);
+        audit_die(*dev, die, dev->config().geometry.segment_base(segment), vo,
+                  faults, counters, token, out.reports[die], /*on_verdict=*/{});
       },
       opts);
   fold_store_stats(dies);

@@ -402,18 +402,19 @@ AuditBatchResult audit_batch(const std::vector<std::unique_ptr<Device>>& dies,
                              const SessionPolicy& session = {});
 
 // --- store-backed (out-of-core) batches ----------------------------------
-// The overloads below run the same per-die pipelines against a DieStore
-// (src/store/die_store.hpp) instead of an in-memory fleet vector: each job
-// pins its die for the duration of the job (loading it from its die file or
-// manufacturing it from seed on a miss) and releases it afterwards, so a
-// 10^6-die population runs with only `max_resident` dies in RAM. Results
-// are byte-identical to the all-resident overloads at any --threads value —
-// residency and eviction order affect only I/O, never die state
-// (docs/REPRODUCIBILITY.md §8). Store counters (hits/misses/evictions) are
-// folded into the metrics registry under `store.*` when metrics are on;
-// they are scheduling-dependent and outside the §6 byte-identity contract.
-// Dirty dies remain in the store after the batch — call
-// DieStore::flush_all() to persist the population.
+// The overloads below run the same per-die imprint and audit bodies as the
+// in-memory ones against a DieStore (src/store/die_store.hpp) instead of an
+// in-memory fleet vector: each job pins its die for the duration of the job
+// (loading it from its die file or manufacturing it from seed on a miss) and
+// releases it afterwards, so a 10^6-die population runs with only
+// `max_resident` dies in RAM. Results are byte-identical to the
+// all-resident overloads at any --threads value — residency and eviction
+// order affect only I/O, never die state (docs/REPRODUCIBILITY.md §8).
+// Store counters (hits/misses/evictions) are folded into the metrics
+// registry under `store.*` when metrics are on; they are
+// scheduling-dependent and outside the §6 byte-identity contract. Dirty dies
+// remain in the store after the batch — call DieStore::flush_all() to
+// persist the population.
 
 /// Imprint dies 0..n_dies-1 of the store's population. Unlike the in-memory
 /// overload the imprinted Devices stay in the store (`dies` is empty in the
@@ -422,12 +423,6 @@ ImprintBatchResult imprint_batch(
     store::DieStore& dies, std::size_t n_dies, std::size_t segment,
     const std::function<WatermarkSpec(std::size_t)>& spec_of,
     const FleetOptions& opts = {});
-
-/// Extract the watermark bitmap of segment `segment` on dies 0..n_dies-1 of
-/// the store's population.
-ExtractBatchResult extract_batch(store::DieStore& dies, std::size_t n_dies,
-                                 std::size_t segment, const ExtractOptions& eo,
-                                 const FleetOptions& opts = {});
 
 /// Audit dies 0..n_dies-1 of the store's population. With a `faults` policy
 /// the afflicted dies are audited through a FaultyHal exactly like the
@@ -439,41 +434,5 @@ AuditBatchResult audit_batch(store::DieStore& dies, std::size_t n_dies,
                              std::size_t segment, const VerifyOptions& vo,
                              const FleetOptions& opts = {},
                              const FaultPolicy& faults = {});
-
-/// Result of pulse_sweep_batch. `erased_counts[die][k]` is the noise-free
-/// number of erased cells in the swept segment of `die` after pulse k of
-/// the schedule has run (on top of pulses 0..k-1). Erase transitions are
-/// one-way, so each die's counts are monotone in k (paper Fig. 4 style).
-struct PulseSweepResult {
-  std::vector<std::vector<std::size_t>> erased_counts;
-  FleetReport fleet;
-};
-
-/// Erase-time characterization sweep over dies 0..n_dies-1 of the store's
-/// population: each die's segment is conditioned (full erase, then every
-/// word programmed to 0x0000 so all cells start programmed), then the
-/// partial-erase pulses of `t_pe_us` are applied in order, recording the
-/// erased-cell count after every pulse.
-///
-/// Dies run in cohorts of `interleave`: one fleet job pins a contiguous
-/// range of `interleave` dies and drives each pulse through
-/// FlashArray::partial_erase_many, so the batched kernels fill vector
-/// lanes with cells from all of the cohort's dies at once
-/// (kernels::erase_pulse_segments). `erased_counts` is byte-identical at
-/// any interleave width and any --threads value: partial_erase_many is
-/// byte-identical to the sequential per-die loop by contract, cohorts
-/// partition the die range disjointly, and every die draws from its own
-/// RNG streams.
-///
-/// Reporting caveats: `fleet.dies` rows are per *cohort*, labeled by the
-/// cohort's first die index. The sweep runs at the array (physics) layer,
-/// below the controller, so the simulated clock does not advance and the
-/// op counters in each row are accounted directly (one full erase + one
-/// whole-segment program + |t_pe_us| partial pulses per die).
-PulseSweepResult pulse_sweep_batch(store::DieStore& dies, std::size_t n_dies,
-                                   std::size_t segment,
-                                   const std::vector<double>& t_pe_us,
-                                   const FleetOptions& opts = {},
-                                   std::size_t interleave = 8);
 
 }  // namespace flashmark::fleet

@@ -91,14 +91,10 @@ constexpr std::uint8_t kProgrammed8 =
 // Per-thread scratch arena for the batched kernels: one block of vectors
 // reused by every kernel invocation on this thread, so steady-state pulses
 // and reads allocate nothing (bench/perf_micro.cpp polices this with its
-// allocation guards) and the fleet's parallel dies never share scratch. The
-// erase-pulse buffers hold the concatenation across all jobs of one
-// erase_pulse_segments call; job k's cells live at [job_cell_off[k],
-// job_cell_off[k+1]).
+// allocation guards) and the fleet's parallel dies never share scratch.
 struct KernelArena {
   std::vector<double> growth_in, growth_out;
   std::vector<std::size_t> stale_idx;
-  std::vector<std::size_t> job_cell_off, job_stale_off, job_draw_off;
   std::vector<std::size_t> draw_idx;
   std::vector<double> jitter;       // packed draws, exponentiated in place
   std::vector<double> jitter_full;  // scattered per cell (dead lanes unread)
@@ -257,76 +253,41 @@ void dense_growth_in(const double* eff, double* in, std::size_t n) {
 
 // The one erase-time cache refill, shared by every bulk reader of the cache
 // (the erase-verify query and pass 1 of the erase pulse): gather every stale
-// entry of every job, run one fm_pow_pos_n batch per run of jobs sharing
-// damage_exponent (fm_pow_pos_n is bit-identical to the scalar growth() the
-// cache getter runs, and elementwise, so grouping cannot change bits), then
-// combine — vectorized when a job's whole segment is stale, through
-// prime_tte otherwise. Each entry ends bit-identical to nominal_tte_us; the
-// cache is a memo, so refilling early can change no observable state. `Job`
-// is any type with `seg` and `phys` pointers (ErasePulseJob, CacheJob).
-struct CacheJob {
-  const SegmentSoA* seg;
-  const PhysParams* phys;
-};
-
-template <class Job>
-void refill_tte(const Job* jobs, std::size_t n_jobs) {
+// entry, run one fm_pow_pos_n batch over them (bit-identical to the scalar
+// growth() the cache getter runs), then combine — vectorized when the whole
+// segment is stale, through prime_tte otherwise. Each entry ends
+// bit-identical to nominal_tte_us; the cache is a memo, so refilling early
+// can change no observable state.
+void refill_tte(const SegmentSoA& s, const PhysParams& p) {
+  const std::size_t n = s.size();
+  const std::uint8_t* valid = s.tte_valid_data();
+  if (std::memchr(valid, 0, n) == nullptr) return;  // all warm
   KernelArena& a = arena();
-  std::size_t total = 0;
-  for (std::size_t j = 0; j < n_jobs; ++j) total += jobs[j].seg->size();
-  a.growth_in.resize(total);
-  a.growth_out.resize(total);
-  a.stale_idx.resize(total);
-  a.job_stale_off.resize(n_jobs + 1);
+  a.growth_in.resize(n);
+  a.growth_out.resize(n);
+  if (std::memchr(valid, 1, n) == nullptr) {  // every entry stale
+    dense_growth_in(s.eff_cycles.data(), a.growth_in.data(), n);
+    fmm::fm_pow_pos_n(a.growth_in.data(), p.damage_exponent,
+                      a.growth_out.data(), n);
+    combine_dense(s, p, a.growth_out.data(), n);
+    return;
+  }
+  a.stale_idx.resize(n);
   std::size_t n_stale = 0;
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    a.job_stale_off[j] = n_stale;
-    const SegmentSoA& s = *jobs[j].seg;
-    const std::size_t n = s.size();
-    const std::uint8_t* valid = s.tte_valid_data();
-    if (std::memchr(valid, 0, n) == nullptr) continue;  // all warm
-    if (std::memchr(valid, 1, n) == nullptr) {  // every entry stale
-      dense_growth_in(s.eff_cycles.data(), a.growth_in.data() + n_stale, n);
-      n_stale += n;
-      continue;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (valid[i]) continue;
-      a.stale_idx[n_stale] = i;
-      a.growth_in[n_stale] = growth_input(s.eff_cycles[i]);
-      ++n_stale;
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (valid[i]) continue;
+    a.stale_idx[n_stale] = i;
+    a.growth_in[n_stale] = growth_input(s.eff_cycles[i]);
+    ++n_stale;
   }
-  a.job_stale_off[n_jobs] = n_stale;
-  if (n_stale == 0) return;
-
-  for (std::size_t j0 = 0; j0 < n_jobs;) {
-    std::size_t j1 = j0 + 1;
-    while (j1 < n_jobs &&
-           jobs[j1].phys->damage_exponent == jobs[j0].phys->damage_exponent)
-      ++j1;
-    const std::size_t k0 = a.job_stale_off[j0];
-    fmm::fm_pow_pos_n(a.growth_in.data() + k0, jobs[j0].phys->damage_exponent,
-                      a.growth_out.data() + k0, a.job_stale_off[j1] - k0);
-    j0 = j1;
-  }
-
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    const SegmentSoA& s = *jobs[j].seg;
-    const PhysParams& p = *jobs[j].phys;
-    const std::size_t off = a.job_stale_off[j];
-    const std::size_t cnt = a.job_stale_off[j + 1] - off;
-    if (cnt == s.size()) {
-      combine_dense(s, p, a.growth_out.data() + off, cnt);
-      continue;
-    }
-    for (std::size_t k = 0; k < cnt; ++k) {
-      const std::size_t i = a.stale_idx[off + k];
-      const double g = s.eff_cycles[i] > 0.0 ? a.growth_out[off + k] : 0.0;
-      s.prime_tte(i, static_cast<double>(s.tte_fresh_us[i]) *
-                         p.slowdown_from_growth(
-                             static_cast<double>(s.susceptibility[i]), g));
-    }
+  fmm::fm_pow_pos_n(a.growth_in.data(), p.damage_exponent,
+                    a.growth_out.data(), n_stale);
+  for (std::size_t k = 0; k < n_stale; ++k) {
+    const std::size_t i = a.stale_idx[k];
+    const double g = s.eff_cycles[i] > 0.0 ? a.growth_out[k] : 0.0;
+    s.prime_tte(i, static_cast<double>(s.tte_fresh_us[i]) *
+                       p.slowdown_from_growth(
+                           static_cast<double>(s.susceptibility[i]), g));
   }
 }
 
@@ -604,87 +565,46 @@ void erase_full_segment(KernelMode m, SegmentSoA& s, const PhysParams& p) {
 
 void erase_pulse_segment(KernelMode m, SegmentSoA& s, const PhysParams& p,
                          double t_pe_us, Rng& rng) {
-  const ErasePulseJob job{&s, &p, t_pe_us, &rng};
-  erase_pulse_segments(m, &job, 1);
-}
-
-void erase_pulse_segments(KernelMode m, const ErasePulseJob* jobs,
-                          std::size_t n_jobs) {
-  if (n_jobs == 0) return;
+  const std::size_t n = s.size();
   if (m == KernelMode::kReference) {
-    for (std::size_t j = 0; j < n_jobs; ++j) {
-      SegmentSoA& s = *jobs[j].seg;
-      const PhysParams& p = *jobs[j].phys;
-      const std::size_t n = s.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        Cell c = gather(s, i);
-        c.partial_erase(p, jobs[j].t_pe_us, *jobs[j].rng);
-        scatter(s, i, c);
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      Cell c = gather(s, i);
+      c.partial_erase(p, t_pe_us, rng);
+      scatter(s, i, c);
     }
     return;
   }
-  // Mirrors Cell::partial_erase expression-for-expression, in three passes
-  // run across ALL jobs so the transcendental batches see the concatenated
-  // survivor sets (whole vector lanes even when each job's share is sparse):
+  // Mirrors Cell::partial_erase expression-for-expression, in three passes:
   //
   //   1. refill stale nominal-erase-time cache entries vector-wide
   //      (refill_tte; after an erase-verify query the cache is already
   //      warm and this pass finds nothing to do);
-  //   2. draw each job's per-cell jitter normals from that job's own RNG in
-  //      exact scalar cell order (the RNG stream is observable state), then
-  //      exponentiate the whole concatenation in one batch;
-  //   3. apply the branch logic per job from the precomputed values
-  //      (masked-SIMD when the dispatcher has lanes).
-  //
-  // Per-job results are byte-identical to sequential erase_pulse_segment
-  // calls: passes 1/2 are elementwise (grouping cannot change bits) and
-  // pass 3 touches one job at a time.
-  refill_tte(jobs, n_jobs);
+  //   2. draw the per-cell jitter normals in exact scalar cell order (the
+  //      RNG stream is observable state), then exponentiate them in one
+  //      batch;
+  //   3. apply the branch logic from the precomputed values (masked-SIMD
+  //      when the dispatcher has lanes).
+  refill_tte(s, p);
 
   KernelArena& a = arena();
-  a.job_cell_off.resize(n_jobs + 1);
-  std::size_t total = 0;
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    a.job_cell_off[j] = total;
-    total += jobs[j].seg->size();
-  }
-  a.job_cell_off[n_jobs] = total;
-
-  a.draw_idx.resize(total);
-  a.jitter.resize(total);
-  a.jitter_full.resize(total);
-  a.job_draw_off.resize(n_jobs + 1);
+  a.draw_idx.resize(n);
+  a.jitter.resize(n);
+  a.jitter_full.resize(n);
+  const bool jittered = p.tte_event_jitter_sigma > 0.0;
   std::size_t n_draws = 0;
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    a.job_draw_off[j] = n_draws;
-    const SegmentSoA& s = *jobs[j].seg;
-    const PhysParams& p = *jobs[j].phys;
-    if (!(p.tte_event_jitter_sigma > 0.0)) continue;
-    const std::size_t n = s.size();
+  if (jittered) {
     for (std::size_t i = 0; i < n; ++i) {
       if (s.defect[i] != kNoDefect || s.level[i] == kErased) continue;
       a.draw_idx[n_draws] = i;
       ++n_draws;
     }
-    jobs[j].rng->normal_fill(0.0, p.tte_event_jitter_sigma,
-                             a.jitter.data() + a.job_draw_off[j],
-                             n_draws - a.job_draw_off[j]);
+    rng.normal_fill(0.0, p.tte_event_jitter_sigma, a.jitter.data(), n_draws);
   }
-  a.job_draw_off[n_jobs] = n_draws;
   fmm::fm_exp_n(a.jitter.data(), a.jitter.data(), n_draws);
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    const std::size_t cell0 = a.job_cell_off[j];
-    for (std::size_t k = a.job_draw_off[j]; k < a.job_draw_off[j + 1]; ++k)
-      a.jitter_full[cell0 + a.draw_idx[k]] = a.jitter[k];
-  }
+  for (std::size_t k = 0; k < n_draws; ++k)
+    a.jitter_full[a.draw_idx[k]] = a.jitter[k];
 
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    const PhysParams& p = *jobs[j].phys;
-    pass3(*jobs[j].seg, p, jobs[j].t_pe_us,
-          a.jitter_full.data() + a.job_cell_off[j],
-          p.tte_event_jitter_sigma > 0.0);
-  }
+  pass3(s, p, t_pe_us, a.jitter_full.data(), jittered);
 }
 
 void program_words(KernelMode m, SegmentSoA& s, const PhysParams& p,
@@ -945,8 +865,7 @@ double time_to_full_erase_us(KernelMode m, const SegmentSoA& s,
   }
   // Refill the whole cache, not only the programmed cells the max needs:
   // the erase pulse that follows the query then finds it warm.
-  const CacheJob job{&s, &p};
-  refill_tte(&job, 1);
+  refill_tte(s, p);
   return max_programmed_tte(s);
 }
 

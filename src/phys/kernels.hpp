@@ -135,28 +135,6 @@ void erase_full_segment(KernelMode m, SegmentSoA& s, const PhysParams& p);
 void erase_pulse_segment(KernelMode m, SegmentSoA& s, const PhysParams& p,
                          double t_pe_us, Rng& rng);
 
-/// One independent segment's share of a multi-die interleaved erase pulse.
-/// Each job keeps its own RNG (the die's noise stream) and physics; jobs
-/// must reference distinct SegmentSoA/Rng objects (they are advanced in one
-/// invocation).
-struct ErasePulseJob {
-  SegmentSoA* seg = nullptr;
-  const PhysParams* phys = nullptr;
-  double t_pe_us = 0.0;
-  Rng* rng = nullptr;
-};
-
-/// Multi-segment interleaved erase pulse: byte-identical to calling
-/// erase_pulse_segment(m, *jobs[k].seg, ...) for k = 0..n_jobs-1 in order
-/// (per-die state AND per-die RNG streams), but the transcendental passes
-/// concatenate all jobs' survivors so sparse per-job batches still fill
-/// whole vector lanes. The concatenation is bit-safe because fm_pow_pos_n /
-/// fm_exp_n are elementwise (fm_math.hpp): grouping cannot change any lane's
-/// input or output bits. Jobs whose physics share damage_exponent share one
-/// pow batch; others get their own (same per-element bits either way).
-void erase_pulse_segments(KernelMode m, const ErasePulseJob* jobs,
-                          std::size_t n_jobs);
-
 /// Program pulses for `n_words` consecutive words starting at cell
 /// `cell0`: bits that are 0 in `words[w]` program their cells
 /// (Cell::program), bits that are 1 leave them untouched.

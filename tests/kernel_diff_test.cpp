@@ -422,54 +422,40 @@ TEST(KernelDiff, PipelineByteIdenticalAcrossIsaDispatch) {
   for (const auto& r : base.reports) EXPECT_EQ(r.verdict, Verdict::kGenuine);
 }
 
-// Interleaved multi-die pulses (FlashArray::partial_erase_many) must equal
-// the sequential per-die pulses bit for bit — per-die temperature scaling
-// and noise streams included — under every dispatch tier and both modes.
-TEST(KernelDiff, InterleavedPulseMatchesSequentialAcrossIsa) {
+// Per-die pulses on dies at different temperatures (worn segment 1) must
+// equal the scalar reference bit for bit — per-die temperature scaling and
+// noise streams included — under every dispatch tier and both modes.
+TEST(KernelDiff, PerDiePulseMatchesScalarAcrossIsa) {
   const FlashGeometry g = FlashGeometry::msp430f5438();
   const PhysParams p = PhysParams::msp430_calibrated();
   constexpr std::size_t kDies = 5;
-  auto run = [&](bool interleaved, KernelMode mode) {
-    std::vector<std::unique_ptr<FlashArray>> dies;
-    std::vector<FlashArray*> arrays;
-    for (std::size_t k = 0; k < kDies; ++k) {
-      dies.push_back(std::make_unique<FlashArray>(g, p, 0xD1E0 + k));
-      dies.back()->set_kernel_mode(mode);
-      // Distinct temperatures: the per-die exposure scaling must survive
-      // the shared kernel sweep.
-      dies.back()->set_temperature_c(15.0 + 7.0 * static_cast<double>(k));
-      arrays.push_back(dies.back().get());
-    }
-    const std::size_t n_words = g.segment_bytes(1) / g.word_bytes;
-    const std::vector<std::uint16_t> zeros(n_words, 0);
-    for (FlashArray* a : arrays) {
-      a->wear_segment(1, 800.0);
-      a->program_words(g.segment_base(1), zeros.data(), zeros.size());
-    }
-    for (int pulse = 0; pulse < 3; ++pulse) {
-      const double t = 9.0 + 7.0 * pulse;
-      if (interleaved) {
-        FlashArray::partial_erase_many(arrays.data(), kDies, 1, t);
-      } else {
-        for (FlashArray* a : arrays) a->partial_erase_segment(1, t);
-      }
-    }
+  auto run = [&](KernelMode mode) {
     std::string s;
-    for (FlashArray* a : arrays) s += dump_array(*a);
+    for (std::size_t k = 0; k < kDies; ++k) {
+      FlashArray a(g, p, 0xD1E0 + k);
+      a.set_kernel_mode(mode);
+      a.set_temperature_c(15.0 + 7.0 * static_cast<double>(k));
+      const std::size_t n_words = g.segment_bytes(1) / g.word_bytes;
+      const std::vector<std::uint16_t> zeros(n_words, 0);
+      a.wear_segment(1, 800.0);
+      a.program_words(g.segment_base(1), zeros.data(), zeros.size());
+      for (int pulse = 0; pulse < 3; ++pulse)
+        a.partial_erase_segment(1, 9.0 + 7.0 * pulse);
+      s += dump_array(a);
+    }
     return s;
   };
   std::string base;
   {
     IsaCapGuard scalar(fmm::Isa::kScalar);
-    base = run(/*interleaved=*/false, KernelMode::kReference);
+    base = run(KernelMode::kReference);
   }
   for (const fmm::Isa cap : testable_isas()) {
     IsaCapGuard guard(cap);
     SCOPED_TRACE(std::string("isa cap ") + fmm::to_string(cap));
     for (KernelMode mode : {KernelMode::kReference, KernelMode::kBatched}) {
       SCOPED_TRACE(to_string(mode));
-      EXPECT_EQ(base, run(/*interleaved=*/false, mode));
-      EXPECT_EQ(base, run(/*interleaved=*/true, mode));
+      EXPECT_EQ(base, run(mode));
     }
   }
 }
@@ -631,47 +617,6 @@ TEST(KernelDiff, EraseVerifyQueryMatchesScalarOnNaNEraseTimes) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(
                   kernels::time_to_full_erase_us(KernelMode::kBatched, s, p)),
               std::bit_cast<std::uint64_t>(want));
-  }
-}
-
-// The store-backed sweep's counts are part of the byte-identity contract:
-// any interleave width x any thread count, same numbers. The small resident
-// cap forces eviction/reload traffic under the widest interleave.
-TEST(KernelDiff, PulseSweepBatchInvariantAcrossInterleaveAndThreads) {
-  constexpr std::size_t kDies = 7;
-  // Widths straddling the fresh-cell erase-time spread (median 24 us), so
-  // successive pulses walk the population from mostly-programmed to
-  // mostly-erased.
-  const std::vector<double> schedule = {18.0, 22.0, 26.0, 34.0};
-  auto sweep = [&](std::size_t interleave, unsigned threads) {
-    ScratchDir dir("fm_kdiff_sweep_" + std::to_string(interleave) + "_" +
-                   std::to_string(threads));
-    store::DieStoreConfig cfg;
-    cfg.dir = dir.str();
-    cfg.device = config_with(KernelMode::kBatched);
-    cfg.max_resident = 4;
-    store::DieStore dies(cfg);
-    fleet::FleetOptions fo;
-    fo.threads = threads;
-    return fleet::pulse_sweep_batch(dies, kDies, /*segment=*/0, schedule, fo,
-                                    interleave)
-        .erased_counts;
-  };
-  const auto base = sweep(1, 1);
-  ASSERT_EQ(base.size(), kDies);
-  for (const auto& die_counts : base) {
-    ASSERT_EQ(die_counts.size(), schedule.size());
-    for (std::size_t k = 1; k < die_counts.size(); ++k)
-      EXPECT_GE(die_counts[k], die_counts[k - 1])
-          << "erase transitions are one-way; counts must be monotone";
-    EXPECT_GT(die_counts.back(), 0u);
-  }
-  for (const std::size_t interleave : {std::size_t{3}, std::size_t{8}}) {
-    for (const unsigned threads : {1u, 4u}) {
-      SCOPED_TRACE("interleave=" + std::to_string(interleave) +
-                   " threads=" + std::to_string(threads));
-      EXPECT_EQ(base, sweep(interleave, threads));
-    }
   }
 }
 
