@@ -1,4 +1,5 @@
 #include "scenario/roc.hpp"
+#include "scenario/roc_internal.hpp"
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -91,70 +92,6 @@ std::vector<ScoreHistogram> run_range(const RocConfig& cfg,
   return hists;
 }
 
-std::string serialize_shard(const std::vector<ScoreHistogram>& hists,
-                            std::uint64_t begin, std::uint64_t end) {
-  std::string s;
-  put_u32(s, kShardMagic);
-  put_u32(s, kShardVersion);
-  put_u64(s, begin);
-  put_u64(s, end);
-  put_u32(s, static_cast<std::uint32_t>(hists.size()));
-  for (const ScoreHistogram& h : hists) {
-    put_u64(s, h.n);
-    put_u64(s, h.queries);
-    put_u64(s, h.queries_passed);
-    for (const std::uint64_t c : h.counts) put_u64(s, c);
-  }
-  put_u32(s, crc32_ieee(reinterpret_cast<const std::uint8_t*>(s.data()),
-                        s.size()));
-  return s;
-}
-
-/// CRC-first, bounds-checked, range-echo-checked deserialization. Any
-/// structural defect returns false (the caller raises).
-bool deserialize_shard(const std::string& frame, std::uint64_t want_begin,
-                       std::uint64_t want_end, std::size_t want_pops,
-                       std::vector<ScoreHistogram>* out) {
-  if (frame.size() < 4) return false;
-  {
-    const std::string tail(frame, frame.size() - 4, 4);
-    Reader tr(tail);
-    std::uint32_t want = 0;
-    if (!tr.u32(&want)) return false;
-    const std::uint32_t got =
-        crc32_ieee(reinterpret_cast<const std::uint8_t*>(frame.data()),
-                   frame.size() - 4);
-    if (want != got) return false;
-  }
-  const std::string body(frame, 0, frame.size() - 4);
-  Reader r(body);
-  std::uint32_t magic = 0, version = 0, n_pops = 0;
-  std::uint64_t begin = 0, end = 0;
-  if (!r.u32(&magic) || magic != kShardMagic || !r.u32(&version) ||
-      version != kShardVersion || !r.u64(&begin) || !r.u64(&end) ||
-      !r.u32(&n_pops))
-    return false;
-  if (begin != want_begin || end != want_end || n_pops != want_pops)
-    return false;
-  std::vector<ScoreHistogram> hists(n_pops);
-  std::uint64_t total = 0;
-  for (ScoreHistogram& h : hists) {
-    if (!r.u64(&h.n) || !r.u64(&h.queries) || !r.u64(&h.queries_passed))
-      return false;
-    std::uint64_t bin_sum = 0;
-    for (std::uint64_t& c : h.counts) {
-      if (!r.u64(&c)) return false;
-      bin_sum += c;
-    }
-    if (bin_sum != h.n) return false;  // internally inconsistent
-    total += h.n;
-  }
-  if (r.pos() != body.size()) return false;  // trailing garbage
-  if (total != want_end - want_begin) return false;
-  *out = std::move(hists);
-  return true;
-}
-
 bool read_all(int fd, std::string* out) {
   char buf[4096];
   for (;;) {
@@ -189,6 +126,71 @@ void shard_range(std::uint64_t n, unsigned slots, unsigned s,
 }
 
 }  // namespace
+
+namespace internal {
+
+std::string serialize_shard(const std::vector<ScoreHistogram>& hists,
+                            std::uint64_t begin, std::uint64_t end) {
+  std::string s;
+  put_u32(s, kShardMagic);
+  put_u32(s, kShardVersion);
+  put_u64(s, begin);
+  put_u64(s, end);
+  put_u32(s, static_cast<std::uint32_t>(hists.size()));
+  for (const ScoreHistogram& h : hists) {
+    put_u64(s, h.n);
+    put_u64(s, h.queries);
+    put_u64(s, h.queries_passed);
+    for (const std::uint64_t c : h.counts) put_u64(s, c);
+  }
+  put_u32(s, crc32_ieee(reinterpret_cast<const std::uint8_t*>(s.data()),
+                        s.size()));
+  return s;
+}
+
+std::optional<std::vector<ScoreHistogram>> deserialize_shard(
+    const std::string& frame, std::uint64_t want_begin,
+    std::uint64_t want_end, std::size_t want_pops) {
+  if (frame.size() < 4) return std::nullopt;
+  {
+    const std::string tail(frame, frame.size() - 4, 4);
+    Reader tr(tail);
+    std::uint32_t want = 0;
+    if (!tr.u32(&want)) return std::nullopt;
+    const std::uint32_t got =
+        crc32_ieee(reinterpret_cast<const std::uint8_t*>(frame.data()),
+                   frame.size() - 4);
+    if (want != got) return std::nullopt;
+  }
+  const std::string body(frame, 0, frame.size() - 4);
+  Reader r(body);
+  std::uint32_t magic = 0, version = 0, n_pops = 0;
+  std::uint64_t begin = 0, end = 0;
+  if (!r.u32(&magic) || magic != kShardMagic || !r.u32(&version) ||
+      version != kShardVersion || !r.u64(&begin) || !r.u64(&end) ||
+      !r.u32(&n_pops))
+    return std::nullopt;
+  if (begin != want_begin || end != want_end || n_pops != want_pops)
+    return std::nullopt;
+  std::vector<ScoreHistogram> hists(n_pops);
+  std::uint64_t total = 0;
+  for (ScoreHistogram& h : hists) {
+    if (!r.u64(&h.n) || !r.u64(&h.queries) || !r.u64(&h.queries_passed))
+      return std::nullopt;
+    std::uint64_t bin_sum = 0;
+    for (std::uint64_t& c : h.counts) {
+      if (!r.u64(&c)) return std::nullopt;
+      bin_sum += c;
+    }
+    if (bin_sum != h.n) return std::nullopt;  // internally inconsistent
+    total += h.n;
+  }
+  if (r.pos() != body.size()) return std::nullopt;  // trailing garbage
+  if (total != want_end - want_begin) return std::nullopt;
+  return hists;
+}
+
+}  // namespace internal
 
 void ScoreHistogram::add(const DieScore& score) {
   double s = score.score;
@@ -344,7 +346,7 @@ RocResult run_roc_study(const RocConfig& cfg, const RocOptions& opts) {
       try {
         const std::vector<ScoreHistogram> hists = run_range(
             run_cfg, slots[s].begin, slots[s].end, opts.threads);
-        write_all(pipefd[1], serialize_shard(hists, slots[s].begin,
+        write_all(pipefd[1], internal::serialize_shard(hists, slots[s].begin,
                                              slots[s].end));
       } catch (...) {
         code = 1;
@@ -366,17 +368,19 @@ RocResult run_roc_study(const RocConfig& cfg, const RocOptions& opts) {
     while (waitpid(slots[s].pid, &status, 0) < 0 && errno == EINTR) {
     }
     const bool exited_ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    std::vector<ScoreHistogram> hists;
-    if (!read_ok || !exited_ok ||
-        !deserialize_shard(frame, slots[s].begin, slots[s].end, n_pops,
-                           &hists)) {
+    std::optional<std::vector<ScoreHistogram>> hists;
+    if (read_ok && exited_ok)
+      hists = internal::deserialize_shard(frame, slots[s].begin, slots[s].end,
+                                          n_pops);
+    if (!hists) {
       if (error.empty())
         error = "run_roc_study: shard " + std::to_string(s) +
                 " lost or corrupt (a calibration curve must not silently "
                 "drop population slices)";
       continue;
     }
-    for (std::size_t p = 0; p < n_pops; ++p) result.hists[p].merge(hists[p]);
+    for (std::size_t p = 0; p < n_pops; ++p)
+      result.hists[p].merge((*hists)[p]);
   }
   if (!error.empty()) throw std::runtime_error(error);
   return result;

@@ -20,7 +20,9 @@
 #include "attack/attacks.hpp"
 #include "core/challenge.hpp"
 #include "core/extract.hpp"
+#include "util/crc.hpp"
 #include "scenario/roc.hpp"
+#include "scenario/roc_internal.hpp"
 #include "scenario/scenario.hpp"
 
 namespace flashmark {
@@ -277,6 +279,74 @@ TEST(RocPipeline, CsvBytesAreInvariantAcrossThreadAndShardSplits) {
           << "shards=" << shards << " threads=" << threads;
     }
   }
+}
+
+/// Re-seal a ROC frame body with a fresh CRC-32 trailer (little-endian, by
+/// hand), so a test can reach the checks that run after the CRC.
+std::string reseal(const std::string& body) {
+  const std::uint32_t crc = crc32_ieee(
+      reinterpret_cast<const std::uint8_t*>(body.data()), body.size());
+  std::string out = body;
+  for (int i = 0; i < 4; ++i) out += static_cast<char>(crc >> (8 * i));
+  return out;
+}
+
+TEST(RocWireFormat, RoundTripsAndRejectsCorruption) {
+  // Two populations over dies [3, 10): 4 + 3 scores spread over the bins.
+  std::vector<ScoreHistogram> hists(2);
+  const double genuine[] = {0.97, 0.91, 0.91, 0.52};
+  const double adversary[] = {0.05, 0.33, 0.999};
+  for (const double v : genuine) {
+    scenario::DieScore s;
+    s.score = v;
+    s.challenges = 3;
+    s.challenges_passed = 3;
+    hists[0].add(s);
+  }
+  for (const double v : adversary) {
+    scenario::DieScore s;
+    s.score = v;
+    s.challenges = 3;
+    s.challenges_passed = 1;
+    hists[1].add(s);
+  }
+  const std::string frame = scenario::internal::serialize_shard(hists, 3, 10);
+
+  const auto back = scenario::internal::deserialize_shard(frame, 3, 10, 2);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->size(), 2u);
+  for (std::size_t p = 0; p < 2; ++p) {
+    EXPECT_EQ((*back)[p].counts, hists[p].counts);
+    EXPECT_EQ((*back)[p].n, hists[p].n);
+    EXPECT_EQ((*back)[p].queries, hists[p].queries);
+    EXPECT_EQ((*back)[p].queries_passed, hists[p].queries_passed);
+  }
+
+  // Wrong range echo or population count: a mixed-up pipe cannot be folded
+  // into the wrong slot.
+  EXPECT_FALSE(scenario::internal::deserialize_shard(frame, 0, 7, 2));
+  EXPECT_FALSE(scenario::internal::deserialize_shard(frame, 3, 10, 3));
+  // Truncation at half length (a worker that died mid-write).
+  EXPECT_FALSE(scenario::internal::deserialize_shard(
+      frame.substr(0, frame.size() / 2), 3, 10, 2));
+  // One flipped byte is caught by the CRC trailer.
+  std::string flipped = frame;
+  flipped[flipped.size() / 3] =
+      static_cast<char>(flipped[flipped.size() / 3] ^ 0x40);
+  EXPECT_FALSE(scenario::internal::deserialize_shard(flipped, 3, 10, 2));
+
+  const std::string body = frame.substr(0, frame.size() - 4);
+  ASSERT_EQ(reseal(body), frame);
+  // Trailing garbage under a valid CRC: only the end-of-body check sees it.
+  EXPECT_FALSE(scenario::internal::deserialize_shard(reseal(body + "XX"), 3,
+                                                     10, 2));
+  // A bin sum that does not match n, under a valid CRC. Population 0's
+  // first bin count starts after the 28-byte header and its n, queries and
+  // queries_passed words.
+  std::string bad_sum = body;
+  bad_sum[28 + 24] = static_cast<char>(bad_sum[28 + 24] + 1);
+  EXPECT_FALSE(scenario::internal::deserialize_shard(reseal(bad_sum), 3, 10,
+                                                     2));
 }
 
 TEST(RocPipeline, OperatingPointCalibrationRejectsEmptyPopulations) {
