@@ -13,6 +13,7 @@
 
 #include "flash/array.hpp"
 #include "util/crc.hpp"
+#include "util/wire.hpp"
 
 namespace flashmark {
 
@@ -45,24 +46,6 @@ constexpr std::size_t kEntOffset = 8;
 constexpr std::size_t kEntSize = 16;
 constexpr std::size_t kEntElemSize = 24;
 constexpr std::size_t kEntCrc = 28;
-
-// Bytewise little-endian codec: host-order independent by construction.
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t(p[i]) << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t(p[i]) << (8 * i);
-  return v;
-}
 
 std::size_t align_up(std::size_t v, std::size_t a) {
   return (v + a - 1) / a * a;
@@ -218,12 +201,12 @@ std::shared_ptr<const DieFileMap> DieFileMap::validate(
     reject(status, "bad magic");
     return nullptr;
   }
-  if (crc32_ieee(d, kOffHeaderCrc) != get_u32(d + kOffHeaderCrc)) {
+  if (crc32_ieee(d, kOffHeaderCrc) != wire::load_u32(d + kOffHeaderCrc)) {
     reject(status, "header CRC mismatch");
     return nullptr;
   }
-  if (get_u32(d + kOffHeaderBytes) != v3::kHeaderBytes ||
-      get_u32(d + kOffVersion) != v3::kVersion) {
+  if (wire::load_u32(d + kOffHeaderBytes) != v3::kHeaderBytes ||
+      wire::load_u32(d + kOffVersion) != v3::kVersion) {
     reject(status, "unsupported header size or version");
     return nullptr;
   }
@@ -238,13 +221,14 @@ std::shared_ptr<const DieFileMap> DieFileMap::validate(
   }
   m->family_.assign(fam, fam_len);
 
-  m->die_seed_ = get_u64(d + kOffDieSeed);
-  m->clock_ns_ = static_cast<std::int64_t>(get_u64(d + kOffClockNs));
-  m->temperature_c_ = std::bit_cast<double>(get_u64(d + kOffTemperature));
+  m->die_seed_ = wire::load_u64(d + kOffDieSeed);
+  m->clock_ns_ = static_cast<std::int64_t>(wire::load_u64(d + kOffClockNs));
+  m->temperature_c_ =
+      std::bit_cast<double>(wire::load_u64(d + kOffTemperature));
   for (int i = 0; i < 4; ++i)
-    m->noise_.s[i] = get_u64(d + kOffNoiseS + 8 * std::size_t(i));
-  m->noise_.cached_normal_bits = get_u64(d + kOffNoiseCached);
-  const std::uint32_t has_cached = get_u32(d + kOffNoiseHasCached);
+    m->noise_.s[i] = wire::load_u64(d + kOffNoiseS + 8 * std::size_t(i));
+  m->noise_.cached_normal_bits = wire::load_u64(d + kOffNoiseCached);
+  const std::uint32_t has_cached = wire::load_u32(d + kOffNoiseHasCached);
   if (has_cached > 1) {
     reject(status, "malformed noise-RNG cache flag");
     return nullptr;
@@ -255,11 +239,11 @@ std::shared_ptr<const DieFileMap> DieFileMap::validate(
     return nullptr;
   }
 
-  m->n_segments_ = get_u32(d + kOffNSegments);
-  const std::uint32_t n_entries = get_u32(d + kOffNEntries);
-  const std::uint64_t table_offset = get_u64(d + kOffTableOffset);
-  const std::uint64_t data_offset = get_u64(d + kOffDataOffset);
-  const std::uint64_t file_bytes = get_u64(d + kOffFileBytes);
+  m->n_segments_ = wire::load_u32(d + kOffNSegments);
+  const std::uint32_t n_entries = wire::load_u32(d + kOffNEntries);
+  const std::uint64_t table_offset = wire::load_u64(d + kOffTableOffset);
+  const std::uint64_t data_offset = wire::load_u64(d + kOffDataOffset);
+  const std::uint64_t file_bytes = wire::load_u64(d + kOffFileBytes);
   if (m->n_segments_ == 0 || m->n_segments_ > (1u << 20)) {
     reject(status, "implausible segment count");
     return nullptr;
@@ -278,7 +262,7 @@ std::shared_ptr<const DieFileMap> DieFileMap::validate(
   }
   const std::uint8_t* table = d + table_offset;
   if (crc32_ieee(table, static_cast<std::size_t>(table_bytes)) !=
-      get_u32(d + kOffTableCrc)) {
+      wire::load_u32(d + kOffTableCrc)) {
     reject(status, "column table CRC mismatch");
     return nullptr;
   }
@@ -286,11 +270,11 @@ std::shared_ptr<const DieFileMap> DieFileMap::validate(
   std::uint64_t prev_end = data_offset;
   for (std::uint32_t e = 0; e < n_entries; ++e) {
     const std::uint8_t* ent = table + std::size_t(e) * v3::kTableEntryBytes;
-    const std::uint32_t seg = get_u32(ent + kEntSegment);
-    const std::uint32_t col = get_u32(ent + kEntColumn);
-    const std::uint64_t off = get_u64(ent + kEntOffset);
-    const std::uint64_t bytes = get_u64(ent + kEntSize);
-    const std::uint32_t elem = get_u32(ent + kEntElemSize);
+    const std::uint32_t seg = wire::load_u32(ent + kEntSegment);
+    const std::uint32_t col = wire::load_u32(ent + kEntColumn);
+    const std::uint64_t off = wire::load_u64(ent + kEntOffset);
+    const std::uint64_t bytes = wire::load_u64(ent + kEntSize);
+    const std::uint32_t elem = wire::load_u32(ent + kEntElemSize);
     if (seg >= m->n_segments_) {
       reject(status, "table entry names an out-of-range segment");
       return nullptr;
@@ -306,7 +290,7 @@ std::shared_ptr<const DieFileMap> DieFileMap::validate(
     prev_end = off + bytes;
     const std::uint8_t* blob = d + off;
     if (crc32_ieee(blob, static_cast<std::size_t>(bytes)) !=
-        get_u32(ent + kEntCrc)) {
+        wire::load_u32(ent + kEntCrc)) {
       reject(status, "column blob CRC mismatch (segment " +
                          std::to_string(seg) + ", column " +
                          std::to_string(col) + ")");
@@ -437,13 +421,13 @@ std::string serialize_die_v3(const FlashArray& a, const std::string& family,
     for (const std::uint32_t seg : present) {
       for (std::uint32_t c = 0; c < v3::kNumColumns; ++c, ++e) {
         std::uint8_t* ent = table + e * v3::kTableEntryBytes;
-        put_u32(ent + kEntSegment, seg);
-        put_u32(ent + kEntColumn, c);
-        put_u64(ent + kEntOffset, blob_off[e]);
-        put_u64(ent + kEntSize, blob_len[e]);
-        put_u32(ent + kEntElemSize,
+        wire::store_u32(ent + kEntSegment, seg);
+        wire::store_u32(ent + kEntColumn, c);
+        wire::store_u64(ent + kEntOffset, blob_off[e]);
+        wire::store_u64(ent + kEntSize, blob_len[e]);
+        wire::store_u32(ent + kEntElemSize,
                 v3::column_elem_size(static_cast<v3::ColumnId>(c)));
-        put_u32(ent + kEntCrc,
+        wire::store_u32(ent + kEntCrc,
                 crc32_ieee(d + blob_off[e],
                            static_cast<std::size_t>(blob_len[e])));
       }
@@ -452,27 +436,28 @@ std::string serialize_die_v3(const FlashArray& a, const std::string& family,
 
   // Header last: it frames the table.
   std::memcpy(d + kOffMagic, v3::kMagic.data(), v3::kMagic.size());
-  put_u32(d + kOffHeaderBytes, v3::kHeaderBytes);
-  put_u32(d + kOffVersion, v3::kVersion);
+  wire::store_u32(d + kOffHeaderBytes, v3::kHeaderBytes);
+  wire::store_u32(d + kOffVersion, v3::kVersion);
   if (family.empty() || family.size() >= v3::kFamilyBytes)
     throw std::runtime_error("die format v3: family name does not fit");
   std::memcpy(d + kOffFamily, family.data(), family.size());
-  put_u64(d + kOffDieSeed, a.die_seed());
-  put_u64(d + kOffClockNs, static_cast<std::uint64_t>(clock_ns));
-  put_u64(d + kOffTemperature, std::bit_cast<std::uint64_t>(a.temperature_c()));
+  wire::store_u64(d + kOffDieSeed, a.die_seed());
+  wire::store_u64(d + kOffClockNs, static_cast<std::uint64_t>(clock_ns));
+  wire::store_u64(d + kOffTemperature,
+                  std::bit_cast<std::uint64_t>(a.temperature_c()));
   const Rng::State noise = a.noise_rng_state();
   for (int i = 0; i < 4; ++i)
-    put_u64(d + kOffNoiseS + 8 * std::size_t(i), noise.s[i]);
-  put_u64(d + kOffNoiseCached, noise.cached_normal_bits);
-  put_u32(d + kOffNoiseHasCached, noise.has_cached_normal ? 1 : 0);
-  put_u32(d + kOffNSegments, std::uint32_t(g.n_segments()));
-  put_u32(d + kOffNEntries, n_entries);
-  put_u32(d + kOffTableCrc,
+    wire::store_u64(d + kOffNoiseS + 8 * std::size_t(i), noise.s[i]);
+  wire::store_u64(d + kOffNoiseCached, noise.cached_normal_bits);
+  wire::store_u32(d + kOffNoiseHasCached, noise.has_cached_normal ? 1 : 0);
+  wire::store_u32(d + kOffNSegments, std::uint32_t(g.n_segments()));
+  wire::store_u32(d + kOffNEntries, n_entries);
+  wire::store_u32(d + kOffTableCrc,
           crc32_ieee(table, std::size_t(n_entries) * v3::kTableEntryBytes));
-  put_u64(d + kOffTableOffset, table_offset);
-  put_u64(d + kOffDataOffset, data_offset);
-  put_u64(d + kOffFileBytes, file_bytes);
-  put_u32(d + kOffHeaderCrc, crc32_ieee(d, kOffHeaderCrc));
+  wire::store_u64(d + kOffTableOffset, table_offset);
+  wire::store_u64(d + kOffDataOffset, data_offset);
+  wire::store_u64(d + kOffFileBytes, file_bytes);
+  wire::store_u32(d + kOffHeaderCrc, crc32_ieee(d, kOffHeaderCrc));
   return out;
 }
 

@@ -13,6 +13,7 @@
 #include "core/metrics.hpp"
 #include "lot/lot_internal.hpp"
 #include "obs/metrics.hpp"
+#include "util/shards.hpp"
 
 namespace flashmark::lot {
 namespace {
@@ -120,14 +121,6 @@ std::vector<LotCellAccum> make_cell_grid(const LotConfig& cfg) {
       cell.vote_bits_per_die = vote_bits;
     }
   return cells;
-}
-
-void shard_range(std::uint64_t n_dies, unsigned slots, unsigned s,
-                 std::uint64_t* begin, std::uint64_t* end) {
-  const std::uint64_t base = n_dies / slots;
-  const std::uint64_t rem = n_dies % slots;
-  *begin = s * base + std::min<std::uint64_t>(s, rem);
-  *end = *begin + base + (s < rem ? 1 : 0);
 }
 
 ShardOutcome run_shard_range(const LotConfig& cfg, std::uint64_t begin,
@@ -348,23 +341,33 @@ LotResult run_lot(const LotConfig& cfg, const LotOptions& opts) {
               opts.shards ? opts.shards : 1, cfg.n_dies)));
   result.shards_used = slots;
 
-  std::vector<std::optional<internal::ShardOutcome>> outcomes;
-  if (slots == 1) {
-    outcomes.push_back(internal::run_shard_range(cfg, 0, cfg.n_dies, opts));
-  } else {
-    outcomes =
-        internal::run_sharded(cfg, opts, slots, &result.interrupted_signal);
-  }
+  // slots > 1: forked workers, one contiguous die range each. A worker
+  // that died, or whose frame does not validate, leaves its range lost.
+  std::vector<std::optional<std::string>> frames;
+  if (slots > 1)
+    frames = util::run_forked_shards(
+        cfg.n_dies, slots,
+        [&](std::uint64_t begin, std::uint64_t end) {
+          return internal::serialize_shard(
+              internal::run_shard_range(cfg, begin, end, opts,
+                                        /*allow_crash_hook=*/true),
+              begin, end);
+        },
+        &result.interrupted_signal);
 
   for (unsigned s = 0; s < slots; ++s) {
     std::uint64_t begin = 0, end = 0;
-    internal::shard_range(cfg.n_dies, slots, s, &begin, &end);
-    if (outcomes[s]) {
-      internal::ShardOutcome& out = *outcomes[s];
+    util::shard_range(cfg.n_dies, slots, s, &begin, &end);
+    std::optional<internal::ShardOutcome> outcome;
+    if (slots == 1)
+      outcome = internal::run_shard_range(cfg, 0, cfg.n_dies, opts);
+    else if (frames[s])
+      outcome = internal::deserialize_shard(*frames[s], cfg, begin, end);
+    if (outcome) {
       for (std::size_t i = 0; i < result.cells.size(); ++i)
-        result.cells[i].merge(out.cells[i]);
-      result.fleet.merge(out.fleet);
-      result.die_wall_ms.merge(out.die_wall_ms);
+        result.cells[i].merge(outcome->cells[i]);
+      result.fleet.merge(outcome->fleet);
+      result.die_wall_ms.merge(outcome->die_wall_ms);
       continue;
     }
     // Lost shard: the range's dies are accounted as failed rows with a

@@ -1,4 +1,4 @@
-// Internal seam between the lot runner (lot.cpp) and the shard transport
+// Internal seam between the lot runner (lot.cpp) and its shard wire format
 // (shard.cpp). Not installed API — tests include it to exercise the wire
 // format without forking.
 #pragma once
@@ -48,25 +48,5 @@ std::optional<ShardOutcome> deserialize_shard(const std::string& bytes,
 /// Fresh full grid for `cfg` with cell identities (and the constant
 /// bits-per-die widths) filled in, all counts zero.
 std::vector<LotCellAccum> make_cell_grid(const LotConfig& cfg);
-
-/// Fork `slots` workers covering the contiguous partition of
-/// [0, cfg.n_dies) and collect their outcomes in shard order. Slot i is
-/// std::nullopt when worker i was lost (died, nonzero exit, bad frame).
-///
-/// SIGTERM/SIGINT are flagged (not fatal) for the duration of the call: the
-/// first signal observed is forwarded to the workers' process group, the
-/// stragglers are reaped with a bounded timeout (SIGKILL after ~2 s), and
-/// the interrupted ranges come back as std::nullopt — the caller folds them
-/// through FailureReason::kShardLost. When `interrupted_signal` is non-null
-/// it receives the signal number (0 = ran to completion); re-raising it is
-/// the *binary*'s decision, never the library's.
-std::vector<std::optional<ShardOutcome>> run_sharded(
-    const LotConfig& cfg, const LotOptions& opts, unsigned slots,
-    int* interrupted_signal = nullptr);
-
-/// Contiguous die range of shard `s` of `slots` over `n_dies` dies:
-/// the first n_dies % slots shards get one extra die.
-void shard_range(std::uint64_t n_dies, unsigned slots, unsigned s,
-                 std::uint64_t* begin, std::uint64_t* end);
 
 }  // namespace flashmark::lot::internal

@@ -1,33 +1,19 @@
-// Shard transport of the lot runner: fork workers, one contiguous die range
-// each, collect their serialized outcomes over pipes.
+// Wire format of the lot runner's shard frames. Workers forked by
+// util/shards.hpp send one frame each over their pipe; run_lot decodes it.
 //
-// The frame is little-endian, starts with "FMLT" + a version word, echoes
-// the shard's [begin, end) range (so a mixed-up pipe cannot be folded into
-// the wrong slot), and ends with a CRC-32 over everything before it. Any
-// structural defect — short read, bad magic, CRC mismatch, out-of-range
-// enum or die id — classifies the shard as lost; the runner then accounts
-// the whole range as FailureReason::kShardLost rather than trusting a
-// half-written frame.
-//
-// Workers are forked BEFORE any thread exists in the parent (run_lot forks
-// first, each child then builds its own fleet thread pool), which keeps the
-// fork/thread combination legal under TSan and ASan.
-#include <csignal>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <cstring>
+// The frame uses the util/wire shard envelope: "FMLT" magic, a version
+// word, the shard's [begin, end) range echo (so a mixed-up pipe cannot be
+// folded into the wrong slot), the payload, and a CRC-32 trailer over
+// everything before it. Any structural defect — short read, bad magic, CRC
+// mismatch, out-of-range enum or die id — classifies the shard as lost;
+// run_lot then accounts the whole range as FailureReason::kShardLost rather
+// than trusting a half-written frame.
 #include <exception>
 #include <optional>
-#include <stdexcept>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "lot/lot_internal.hpp"
-#include "util/crc.hpp"
+#include "util/wire.hpp"
 
 namespace flashmark::lot::internal {
 namespace {
@@ -35,251 +21,69 @@ namespace {
 constexpr std::uint32_t kMagic = 0x544C4D46;  // "FMLT" little-endian
 constexpr std::uint32_t kVersion = 1;
 
-// --- little-endian append/read helpers -----------------------------------
-
-void put_bytes(std::string& s, const void* p, std::size_t n) {
-  s.append(static_cast<const char*>(p), n);
-}
-
-void put_u8(std::string& s, std::uint8_t v) { put_bytes(s, &v, 1); }
-
-void put_u32(std::string& s, std::uint32_t v) {
-  std::uint8_t b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  put_bytes(s, b, 4);
-}
-
-void put_u64(std::string& s, std::uint64_t v) {
-  std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  put_bytes(s, b, 8);
-}
-
-void put_f64(std::string& s, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(s, bits);
-}
-
-/// Bounds-checked sequential reader over a frame.
-class Reader {
- public:
-  explicit Reader(const std::string& s) : s_(s) {}
-
-  bool u8(std::uint8_t* v) {
-    if (pos_ + 1 > s_.size()) return false;
-    *v = static_cast<std::uint8_t>(s_[pos_++]);
-    return true;
-  }
-  bool u32(std::uint32_t* v) {
-    if (pos_ + 4 > s_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i)
-      *v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(s_[pos_ + i]))
-            << (8 * i);
-    pos_ += 4;
-    return true;
-  }
-  bool u64(std::uint64_t* v) {
-    if (pos_ + 8 > s_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i)
-      *v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(s_[pos_ + i]))
-            << (8 * i);
-    pos_ += 8;
-    return true;
-  }
-  bool f64(double* v) {
-    std::uint64_t bits;
-    if (!u64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof *v);
-    return true;
-  }
-  bool str(std::string* v, std::size_t max_len) {
-    std::uint32_t len;
-    if (!u32(&len) || len > max_len || pos_ + len > s_.size()) return false;
-    v->assign(s_, pos_, len);
-    pos_ += len;
-    return true;
-  }
-  std::size_t pos() const { return pos_; }
-
- private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-bool write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-// --- signal containment ---------------------------------------------------
-// run_sharded installs flag-only SIGTERM/SIGINT handlers (no SA_RESTART, so
-// the blocking drain read returns EINTR) for the duration of the run. On the
-// first observed signal the parent forwards it to the workers' process
-// group, drains what the pipes still hold, reaps with a bounded timeout
-// (SIGKILL stragglers), and returns — the killed ranges come back as
-// std::nullopt, which run_lot folds through FailureReason::kShardLost. A
-// Ctrl-C'd 10^6-die audit therefore dies cleanly in bounded time, leaves no
-// orphans, and its partial result still accounts every die.
-
-volatile std::sig_atomic_t g_signal = 0;
-
-void on_signal(int sig) { g_signal = sig; }
-
-std::string read_all(int fd) {
-  std::string out;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) {
-        if (g_signal != 0) return out;  // interrupted: caller forwards + reaps
-        continue;
-      }
-      return out;
-    }
-    if (n == 0) return out;
-    out.append(buf, static_cast<std::size_t>(n));
-  }
-}
-
-/// Reap `pid` waiting at most `timeout_ms`, then SIGKILL and wait for real.
-void reap_bounded(pid_t pid, int* status, int timeout_ms) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (;;) {
-    const pid_t r = ::waitpid(pid, status, WNOHANG);
-    if (r == pid) return;
-    if (r < 0 && errno != EINTR) return;  // ECHILD: already reaped
-    const double elapsed =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    if (elapsed > timeout_ms) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ::kill(pid, SIGKILL);
-  pid_t r;
-  do {
-    r = ::waitpid(pid, status, 0);
-  } while (r < 0 && errno == EINTR);
-}
-
-/// RAII for the parent's temporary signal disposition.
-class ScopedSignalFlags {
- public:
-  ScopedSignalFlags() {
-    g_signal = 0;
-    struct sigaction sa{};
-    sa.sa_handler = on_signal;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0;  // deliberately no SA_RESTART: reads must wake up
-    ::sigaction(SIGTERM, &sa, &old_term_);
-    ::sigaction(SIGINT, &sa, &old_int_);
-  }
-  ~ScopedSignalFlags() {
-    ::sigaction(SIGTERM, &old_term_, nullptr);
-    ::sigaction(SIGINT, &old_int_, nullptr);
-  }
-
- private:
-  struct sigaction old_term_{}, old_int_{};
-};
-
 }  // namespace
 
 std::string serialize_shard(const ShardOutcome& out, std::uint64_t begin,
                             std::uint64_t end) {
-  std::string s;
-  put_u32(s, kMagic);
-  put_u32(s, kVersion);
-  put_u64(s, begin);
-  put_u64(s, end);
+  wire::Writer w = wire::shard_frame_writer(kMagic, kVersion, begin, end);
 
-  put_f64(s, out.fleet.wall_ms);
-  put_f64(s, out.fleet.cpu_ms);
-  put_u32(s, out.fleet.threads_used);
+  w.f64(out.fleet.wall_ms);
+  w.f64(out.fleet.cpu_ms);
+  w.u32(out.fleet.threads_used);
 
-  put_u64(s, out.cells.size());
+  w.u64(out.cells.size());
   for (const auto& cell : out.cells) {
-    put_u32(s, cell.point_idx);
-    put_u32(s, cell.cond_idx);
-    put_u64(s, cell.n);
-    put_u64(s, cell.detected);
-    put_u64(s, cell.failed);
-    put_u64(s, cell.raw_err);
-    put_u64(s, cell.raw_err_sq);
-    put_u64(s, cell.vote_err);
-    put_u64(s, cell.vote_err_sq);
-    put_u64(s, cell.raw_bits_per_die);
-    put_u64(s, cell.vote_bits_per_die);
+    w.u32(cell.point_idx);
+    w.u32(cell.cond_idx);
+    w.u64(cell.n);
+    w.u64(cell.detected);
+    w.u64(cell.failed);
+    w.u64(cell.raw_err);
+    w.u64(cell.raw_err_sq);
+    w.u64(cell.vote_err);
+    w.u64(cell.vote_err_sq);
+    w.u64(cell.raw_bits_per_die);
+    w.u64(cell.vote_bits_per_die);
   }
 
-  put_u64(s, out.die_wall_ms.count());
-  put_f64(s, out.die_wall_ms.mean());
-  put_f64(s, out.die_wall_ms.m2());
-  put_f64(s, out.die_wall_ms.min());
-  put_f64(s, out.die_wall_ms.max());
+  w.u64(out.die_wall_ms.count());
+  w.f64(out.die_wall_ms.mean());
+  w.f64(out.die_wall_ms.m2());
+  w.f64(out.die_wall_ms.min());
+  w.f64(out.die_wall_ms.max());
 
-  put_u64(s, out.fleet.dies.size());
+  w.u64(out.fleet.dies.size());
   for (const auto& row : out.fleet.dies) {
-    put_u64(s, row.die);
-    put_f64(s, row.wall_ms);
-    put_f64(s, row.pe_cycles);
-    put_u64(s, static_cast<std::uint64_t>(row.sim_time.as_ns()));
-    put_u64(s, row.erase_ops);
-    put_u64(s, row.program_ops);
-    put_u64(s, row.read_ops);
-    put_u64(s, row.faults_injected);
-    put_u64(s, row.retries);
-    put_u64(s, row.ecc_corrected);
-    put_u8(s, static_cast<std::uint8_t>(row.health));
-    put_u8(s, static_cast<std::uint8_t>(row.reason));
-    put_u8(s, row.failed ? 1 : 0);
-    put_u32(s, static_cast<std::uint32_t>(row.error.size()));
-    put_bytes(s, row.error.data(), row.error.size());
+    w.u64(row.die);
+    w.f64(row.wall_ms);
+    w.f64(row.pe_cycles);
+    w.u64(static_cast<std::uint64_t>(row.sim_time.as_ns()));
+    w.u64(row.erase_ops);
+    w.u64(row.program_ops);
+    w.u64(row.read_ops);
+    w.u64(row.faults_injected);
+    w.u64(row.retries);
+    w.u64(row.ecc_corrected);
+    w.u8(static_cast<std::uint8_t>(row.health));
+    w.u8(static_cast<std::uint8_t>(row.reason));
+    w.u8(row.failed ? 1 : 0);
+    w.str(row.error);
   }
 
-  put_u32(s, crc32_ieee(reinterpret_cast<const std::uint8_t*>(s.data()),
-                        s.size()));
-  return s;
+  w.append_crc32();
+  return w.take();
 }
 
 std::optional<ShardOutcome> deserialize_shard(const std::string& bytes,
                                               const LotConfig& cfg,
                                               std::uint64_t begin,
                                               std::uint64_t end) {
-  if (bytes.size() < 4 + 4 + 8 + 8 + 4) return std::nullopt;
-  const std::size_t body = bytes.size() - 4;
-  Reader crc_r(bytes);
-  {
-    // Validate the trailer first: everything after this point may trust the
-    // frame's framing (but still bounds-checks every read).
-    std::string tail(bytes, body, 4);
-    Reader tr(tail);
-    std::uint32_t want = 0;
-    if (!tr.u32(&want)) return std::nullopt;
-    const std::uint32_t got = crc32_ieee(
-        reinterpret_cast<const std::uint8_t*>(bytes.data()), body);
-    if (want != got) return std::nullopt;
-  }
-
-  Reader r(bytes);
-  std::uint32_t magic = 0, version = 0;
-  std::uint64_t b = 0, e = 0;
-  if (!r.u32(&magic) || magic != kMagic) return std::nullopt;
-  if (!r.u32(&version) || version != kVersion) return std::nullopt;
-  if (!r.u64(&b) || !r.u64(&e) || b != begin || e != end) return std::nullopt;
+  // CRC first: everything after this may trust the frame's framing (but
+  // still bounds-checks every read).
+  std::optional<wire::Reader> frame =
+      wire::open_shard_frame(bytes, kMagic, kVersion, begin, end);
+  if (!frame) return std::nullopt;
+  wire::Reader& r = *frame;
 
   ShardOutcome out;
   std::uint32_t threads = 0;
@@ -347,113 +151,8 @@ std::optional<ShardOutcome> deserialize_shard(const std::string& bytes,
     row.failed = failed != 0;
   }
 
-  if (r.pos() != body) return std::nullopt;  // trailing garbage
+  if (!r.at_end()) return std::nullopt;  // trailing garbage
   return out;
-}
-
-std::vector<std::optional<ShardOutcome>> run_sharded(const LotConfig& cfg,
-                                                     const LotOptions& opts,
-                                                     unsigned slots,
-                                                     int* interrupted_signal) {
-  struct Slot {
-    pid_t pid = -1;
-    int fd = -1;
-    std::uint64_t begin = 0;
-    std::uint64_t end = 0;
-  };
-  std::vector<Slot> workers(slots);
-
-  // Flag SIGTERM/SIGINT for the duration of the run (restored on return).
-  ScopedSignalFlags signals;
-  pid_t pgid = 0;  // the workers' own process group (first child's pid)
-
-  for (unsigned s = 0; s < slots; ++s) {
-    Slot& w = workers[s];
-    shard_range(cfg.n_dies, slots, s, &w.begin, &w.end);
-    if (g_signal != 0) break;  // interrupted mid-spawn: stop forking
-    int fds[2];
-    if (::pipe(fds) != 0)
-      throw std::runtime_error("run_lot: pipe() failed");
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      throw std::runtime_error("run_lot: fork() failed");
-    }
-    if (pid == 0) {
-      // Worker: default signal disposition (the parent decides policy; a
-      // forwarded SIGTERM just terminates the worker) and membership in the
-      // workers' process group, so one kill(-pgid) reaches every shard
-      // without touching the parent or its process group.
-      ::signal(SIGTERM, SIG_DFL);
-      ::signal(SIGINT, SIG_DFL);
-      ::setpgid(0, pgid);  // pgid == 0 for the first child: new group
-      ::close(fds[0]);
-      for (unsigned p = 0; p < s; ++p)
-        if (workers[p].fd >= 0) ::close(workers[p].fd);
-      int code = 0;
-      try {
-        const ShardOutcome out =
-            run_shard_range(cfg, w.begin, w.end, opts,
-                            /*allow_crash_hook=*/true);
-        if (!write_all(fds[1], serialize_shard(out, w.begin, w.end)))
-          code = 5;
-      } catch (const std::exception&) {
-        code = 4;
-      }
-      ::close(fds[1]);
-      ::_exit(code);
-    }
-    ::close(fds[1]);
-    w.pid = pid;
-    w.fd = fds[0];
-    if (pgid == 0) pgid = pid;
-    // Mirror the child's setpgid (whichever runs first wins; EACCES/ESRCH
-    // just means the child got there first or already exited).
-    ::setpgid(pid, pgid);
-  }
-
-  bool forwarded = false;
-  auto forward_signal = [&] {
-    if (g_signal != 0 && !forwarded && pgid != 0) {
-      ::kill(-pgid, g_signal);
-      forwarded = true;
-    }
-  };
-
-  // Drain pipes in shard order: the fold order — and with it every merged
-  // floating-point diagnostic — is deterministic regardless of which worker
-  // finishes first. (The contractual curves do not even need this: they are
-  // integer sums.) On interruption the drain keeps going — killed workers
-  // close their pipes, reads return fast, and every already-complete frame
-  // is still folded — but reaping switches to the bounded path.
-  std::vector<std::optional<ShardOutcome>> outcomes(slots);
-  for (unsigned s = 0; s < slots; ++s) {
-    Slot& w = workers[s];
-    if (w.pid < 0) continue;  // never forked (interrupted mid-spawn)
-    forward_signal();
-    std::string frame = read_all(w.fd);
-    forward_signal();
-    if (forwarded) frame += read_all(w.fd);  // post-kill residue up to EOF
-    ::close(w.fd);
-    int status = 0;
-    if (forwarded) {
-      reap_bounded(w.pid, &status, /*timeout_ms=*/2'000);
-    } else {
-      pid_t r;
-      for (;;) {
-        r = ::waitpid(w.pid, &status, 0);
-        if (r >= 0 || errno != EINTR) break;
-        forward_signal();  // signal landed while blocked in waitpid
-      }
-      if (r != w.pid) continue;  // shard stays lost
-    }
-    if (WIFEXITED(status) && WEXITSTATUS(status) == 0)
-      outcomes[s] = deserialize_shard(frame, cfg, w.begin, w.end);
-  }
-  if (interrupted_signal != nullptr)
-    *interrupted_signal = static_cast<int>(g_signal);
-  return outcomes;
 }
 
 }  // namespace flashmark::lot::internal

@@ -1,16 +1,13 @@
 #include "scenario/roc.hpp"
 #include "scenario/roc_internal.hpp"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 #include "fleet/fleet.hpp"
-#include "util/crc.hpp"
+#include "util/shards.hpp"
+#include "util/wire.hpp"
 
 namespace flashmark::scenario {
 
@@ -24,48 +21,6 @@ std::string fmt_g(double v) {
   std::snprintf(buf, sizeof buf, "%.10g", v);
   return buf;
 }
-
-// --- little-endian frame helpers (shard.cpp idiom) -------------------------
-
-void put_u32(std::string& s, std::uint32_t v) {
-  std::uint8_t b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  s.append(reinterpret_cast<const char*>(b), 4);
-}
-
-void put_u64(std::string& s, std::uint64_t v) {
-  std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  s.append(reinterpret_cast<const char*>(b), 8);
-}
-
-class Reader {
- public:
-  explicit Reader(const std::string& s) : s_(s) {}
-  bool u32(std::uint32_t* v) {
-    if (pos_ + 4 > s_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i)
-      *v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(s_[pos_ + i]))
-            << (8 * i);
-    pos_ += 4;
-    return true;
-  }
-  bool u64(std::uint64_t* v) {
-    if (pos_ + 8 > s_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i)
-      *v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(s_[pos_ + i]))
-            << (8 * i);
-    pos_ += 8;
-    return true;
-  }
-  std::size_t pos() const { return pos_; }
-
- private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 /// Per-population partial histograms of one contiguous global-die range.
 /// Deterministic: per-die scores land in slots indexed by die, then fold in
@@ -92,86 +47,34 @@ std::vector<ScoreHistogram> run_range(const RocConfig& cfg,
   return hists;
 }
 
-bool read_all(int fd, std::string* out) {
-  char buf[4096];
-  for (;;) {
-    const ssize_t k = read(fd, buf, sizeof buf);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (k == 0) return true;
-    out->append(buf, static_cast<std::size_t>(k));
-  }
-}
-
-void write_all(int fd, const std::string& s) {
-  std::size_t off = 0;
-  while (off < s.size()) {
-    const ssize_t k = write(fd, s.data() + off, s.size() - off);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return;  // parent will see a torn frame and raise
-    }
-    off += static_cast<std::size_t>(k);
-  }
-}
-
-void shard_range(std::uint64_t n, unsigned slots, unsigned s,
-                 std::uint64_t* begin, std::uint64_t* end) {
-  const std::uint64_t base = n / slots;
-  const std::uint64_t extra = n % slots;
-  *begin = s * base + std::min<std::uint64_t>(s, extra);
-  *end = *begin + base + (s < extra ? 1 : 0);
-}
-
 }  // namespace
 
 namespace internal {
 
 std::string serialize_shard(const std::vector<ScoreHistogram>& hists,
                             std::uint64_t begin, std::uint64_t end) {
-  std::string s;
-  put_u32(s, kShardMagic);
-  put_u32(s, kShardVersion);
-  put_u64(s, begin);
-  put_u64(s, end);
-  put_u32(s, static_cast<std::uint32_t>(hists.size()));
+  wire::Writer w =
+      wire::shard_frame_writer(kShardMagic, kShardVersion, begin, end);
+  w.u32(static_cast<std::uint32_t>(hists.size()));
   for (const ScoreHistogram& h : hists) {
-    put_u64(s, h.n);
-    put_u64(s, h.queries);
-    put_u64(s, h.queries_passed);
-    for (const std::uint64_t c : h.counts) put_u64(s, c);
+    w.u64(h.n);
+    w.u64(h.queries);
+    w.u64(h.queries_passed);
+    for (const std::uint64_t c : h.counts) w.u64(c);
   }
-  put_u32(s, crc32_ieee(reinterpret_cast<const std::uint8_t*>(s.data()),
-                        s.size()));
-  return s;
+  w.append_crc32();
+  return w.take();
 }
 
 std::optional<std::vector<ScoreHistogram>> deserialize_shard(
-    const std::string& frame, std::uint64_t want_begin,
-    std::uint64_t want_end, std::size_t want_pops) {
-  if (frame.size() < 4) return std::nullopt;
-  {
-    const std::string tail(frame, frame.size() - 4, 4);
-    Reader tr(tail);
-    std::uint32_t want = 0;
-    if (!tr.u32(&want)) return std::nullopt;
-    const std::uint32_t got =
-        crc32_ieee(reinterpret_cast<const std::uint8_t*>(frame.data()),
-                   frame.size() - 4);
-    if (want != got) return std::nullopt;
-  }
-  const std::string body(frame, 0, frame.size() - 4);
-  Reader r(body);
-  std::uint32_t magic = 0, version = 0, n_pops = 0;
-  std::uint64_t begin = 0, end = 0;
-  if (!r.u32(&magic) || magic != kShardMagic || !r.u32(&version) ||
-      version != kShardVersion || !r.u64(&begin) || !r.u64(&end) ||
-      !r.u32(&n_pops))
-    return std::nullopt;
-  if (begin != want_begin || end != want_end || n_pops != want_pops)
-    return std::nullopt;
+    const std::string& frame, std::uint64_t begin, std::uint64_t end,
+    std::size_t n_pops) {
+  std::optional<wire::Reader> body =
+      wire::open_shard_frame(frame, kShardMagic, kShardVersion, begin, end);
+  if (!body) return std::nullopt;
+  wire::Reader& r = *body;
+  std::uint32_t pops = 0;
+  if (!r.u32(&pops) || pops != n_pops) return std::nullopt;
   std::vector<ScoreHistogram> hists(n_pops);
   std::uint64_t total = 0;
   for (ScoreHistogram& h : hists) {
@@ -185,8 +88,8 @@ std::optional<std::vector<ScoreHistogram>> deserialize_shard(
     if (bin_sum != h.n) return std::nullopt;  // internally inconsistent
     total += h.n;
   }
-  if (r.pos() != body.size()) return std::nullopt;  // trailing garbage
-  if (total != want_end - want_begin) return std::nullopt;
+  if (!r.at_end()) return std::nullopt;  // trailing garbage
+  if (total != end - begin) return std::nullopt;
   return hists;
 }
 
@@ -321,68 +224,36 @@ RocResult run_roc_study(const RocConfig& cfg, const RocOptions& opts) {
     return result;
   }
 
-  // Fork BEFORE any thread exists in this process (children build their own
-  // fleet pools) — the fork/thread combination stays legal under TSan/ASan.
-  struct ShardSlot {
-    pid_t pid = -1;
-    int fd = -1;
+  // Forked workers (util/shards.hpp). A lost or corrupt shard is an error
+  // here, and so is an interrupted run: both throw after every worker has
+  // been reaped, never returning a partial curve.
+  int interrupted = 0;
+  const std::vector<std::optional<std::string>> frames =
+      util::run_forked_shards(
+          total, shards,
+          [&](std::uint64_t begin, std::uint64_t end) {
+            return internal::serialize_shard(
+                run_range(run_cfg, begin, end, opts.threads), begin, end);
+          },
+          &interrupted);
+  if (interrupted != 0)
+    throw std::runtime_error("run_roc_study: interrupted by signal " +
+                             std::to_string(interrupted) +
+                             " (workers reaped, no partial curve returned)");
+  for (unsigned s = 0; s < shards; ++s) {
     std::uint64_t begin = 0, end = 0;
-  };
-  std::vector<ShardSlot> slots(shards);
-  for (unsigned s = 0; s < shards; ++s) {
-    shard_range(total, shards, s, &slots[s].begin, &slots[s].end);
-    int pipefd[2];
-    if (pipe(pipefd) != 0)
-      throw std::runtime_error("run_roc_study: pipe() failed");
-    const pid_t pid = fork();
-    if (pid < 0) {
-      close(pipefd[0]);
-      close(pipefd[1]);
-      throw std::runtime_error("run_roc_study: fork() failed");
-    }
-    if (pid == 0) {
-      close(pipefd[0]);
-      int code = 0;
-      try {
-        const std::vector<ScoreHistogram> hists = run_range(
-            run_cfg, slots[s].begin, slots[s].end, opts.threads);
-        write_all(pipefd[1], internal::serialize_shard(hists, slots[s].begin,
-                                             slots[s].end));
-      } catch (...) {
-        code = 1;
-      }
-      close(pipefd[1]);
-      _exit(code);
-    }
-    close(pipefd[1]);
-    slots[s].pid = pid;
-    slots[s].fd = pipefd[0];
-  }
-
-  std::string error;
-  for (unsigned s = 0; s < shards; ++s) {
-    std::string frame;
-    const bool read_ok = read_all(slots[s].fd, &frame);
-    close(slots[s].fd);
-    int status = 0;
-    while (waitpid(slots[s].pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    const bool exited_ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    util::shard_range(total, shards, s, &begin, &end);
     std::optional<std::vector<ScoreHistogram>> hists;
-    if (read_ok && exited_ok)
-      hists = internal::deserialize_shard(frame, slots[s].begin, slots[s].end,
-                                          n_pops);
-    if (!hists) {
-      if (error.empty())
-        error = "run_roc_study: shard " + std::to_string(s) +
-                " lost or corrupt (a calibration curve must not silently "
-                "drop population slices)";
-      continue;
-    }
+    if (frames[s])
+      hists = internal::deserialize_shard(*frames[s], begin, end, n_pops);
+    if (!hists)
+      throw std::runtime_error(
+          "run_roc_study: shard " + std::to_string(s) +
+          " lost or corrupt (a calibration curve must not silently drop "
+          "population slices)");
     for (std::size_t p = 0; p < n_pops; ++p)
       result.hists[p].merge((*hists)[p]);
   }
-  if (!error.empty()) throw std::runtime_error(error);
   return result;
 }
 

@@ -11,11 +11,13 @@
 // Work is striped by global die index (die i belongs to population
 // i % P, with per-population die index i / P), so a contiguous shard range
 // sees exactly the same (population, die) assignments at any split. Shards
-// fork BEFORE any thread exists (each child builds its own fleet pool) and
-// report over CRC-framed pipes with the shard.cpp hostile-input
-// discipline; unlike the lot runner, a lost or corrupt shard here is an
-// ERROR, not a folded loss — a calibration curve silently missing a slice
-// of its population would mis-place every threshold derived from it.
+// run on the lot runner's forked-shard transport (util/shards.hpp: fork
+// before any thread exists, signal forwarding, bounded reaping) and report
+// in CRC-framed util/wire shard frames. Unlike the lot runner, a lost or
+// corrupt shard here is an ERROR, not a folded loss — a calibration curve
+// silently missing a slice of its population would mis-place every
+// threshold derived from it. An interrupted run (SIGTERM/SIGINT) is an
+// error for the same reason.
 #pragma once
 
 #include <array>
@@ -87,7 +89,8 @@ struct RocResult {
 /// Run the study. cfg.base is calibrated internally (deterministically, so
 /// every shard derives the identical policy). Throws std::invalid_argument
 /// on an empty config and std::runtime_error when a shard is lost or its
-/// frame is corrupt.
+/// frame is corrupt, or when SIGTERM/SIGINT interrupts a sharded run (after
+/// the signal is forwarded and every worker reaped).
 RocResult run_roc_study(const RocConfig& cfg, const RocOptions& opts = {});
 
 }  // namespace flashmark::scenario

@@ -1,8 +1,8 @@
 #include "serve/protocol.hpp"
 
-#include <cstring>
+#include <string_view>
 
-#include "util/crc.hpp"
+#include "util/wire.hpp"
 
 namespace flashmark::serve {
 
@@ -10,109 +10,14 @@ namespace {
 
 constexpr std::size_t kMaxMessage = 1u << 16;  // error text / stats CSV cap
 
-// --- little-endian append/read helpers (shard.cpp idiom) -------------------
-
-void put_bytes(std::string& s, const void* p, std::size_t n) {
-  s.append(static_cast<const char*>(p), n);
-}
-
-void put_u8(std::string& s, std::uint8_t v) { put_bytes(s, &v, 1); }
-
-void put_u32(std::string& s, std::uint32_t v) {
-  std::uint8_t b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  put_bytes(s, b, 4);
-}
-
-void put_u64(std::string& s, std::uint64_t v) {
-  std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  put_bytes(s, b, 8);
-}
-
-void put_f64(std::string& s, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(s, bits);
-}
-
-void put_str(std::string& s, const std::string& v) {
-  put_u32(s, static_cast<std::uint32_t>(v.size()));
-  put_bytes(s, v.data(), v.size());
-}
-
-/// Bounds-checked sequential reader over a frame body.
-class Reader {
- public:
-  explicit Reader(const std::string& s) : s_(s) {}
-
-  bool u8(std::uint8_t* v) {
-    if (pos_ + 1 > s_.size()) return false;
-    *v = static_cast<std::uint8_t>(s_[pos_++]);
-    return true;
-  }
-  bool u16(std::uint16_t* v) {
-    std::uint32_t w;
-    if (!u32_n(&w, 2)) return false;
-    *v = static_cast<std::uint16_t>(w);
-    return true;
-  }
-  bool u32(std::uint32_t* v) { return u32_n(v, 4); }
-  bool u64(std::uint64_t* v) {
-    if (pos_ + 8 > s_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i)
-      *v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(s_[pos_ + i]))
-            << (8 * i);
-    pos_ += 8;
-    return true;
-  }
-  bool f64(double* v) {
-    std::uint64_t bits;
-    if (!u64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof *v);
-    return true;
-  }
-  bool str(std::string* v, std::size_t max_len) {
-    std::uint32_t len;
-    if (!u32(&len) || len > max_len || pos_ + len > s_.size()) return false;
-    v->assign(s_, pos_, len);
-    pos_ += len;
-    return true;
-  }
-  std::size_t pos() const { return pos_; }
-
- private:
-  bool u32_n(std::uint32_t* v, int n) {
-    if (pos_ + static_cast<std::size_t>(n) > s_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < n; ++i)
-      *v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(s_[pos_ + i]))
-            << (8 * i);
-    pos_ += static_cast<std::size_t>(n);
-    return true;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-void put_u16(std::string& s, std::uint16_t v) {
-  put_u8(s, static_cast<std::uint8_t>(v));
-  put_u8(s, static_cast<std::uint8_t>(v >> 8));
-}
-
 std::string frame(const std::string& body) {
-  std::string s;
-  s.reserve(kFrameHeaderBytes + body.size() + 4);
-  put_u32(s, kFrameMagic);
-  put_u32(s, kProtocolVersion);
-  put_u32(s, static_cast<std::uint32_t>(body.size()));
-  s += body;
-  put_u32(s, crc32_ieee(reinterpret_cast<const std::uint8_t*>(s.data()),
-                        s.size()));
-  return s;
+  wire::Writer w;
+  w.u32(kFrameMagic);
+  w.u32(kProtocolVersion);
+  w.u32(static_cast<std::uint32_t>(body.size()));
+  w.bytes(body);
+  w.append_crc32();
+  return w.take();
 }
 
 }  // namespace
@@ -144,97 +49,95 @@ const char* to_string(Status s) {
 }
 
 std::string encode_request_frame(const Request& rq) {
-  std::string b;
-  put_u64(b, rq.request_id);
-  put_u32(b, rq.tenant);
-  put_u32(b, rq.deadline_ms);
-  put_u8(b, static_cast<std::uint8_t>(rq.op));
+  wire::Writer b;
+  b.u64(rq.request_id);
+  b.u32(rq.tenant);
+  b.u32(rq.deadline_ms);
+  b.u8(static_cast<std::uint8_t>(rq.op));
   switch (rq.op) {
     case Op::kPing:
-      put_u32(b, rq.delay_ms);
+      b.u32(rq.delay_ms);
       break;
     case Op::kEnroll:
-      put_u64(b, rq.die);
-      put_u32(b, rq.npe);
+      b.u64(rq.die);
+      b.u32(rq.npe);
       break;
     case Op::kVerify:
-      put_u64(b, rq.die);
+      b.u64(rq.die);
       break;
     case Op::kChallenge:
-      put_u64(b, rq.die);
-      put_u64(b, rq.nonce);
+      b.u64(rq.die);
+      b.u64(rq.nonce);
       break;
     case Op::kLotReport:
     case Op::kStats:
       break;
   }
-  return frame(b);
+  return frame(b.take());
 }
 
 std::string encode_response_frame(const Response& rs) {
-  std::string b;
-  put_u64(b, rs.request_id);
-  put_u8(b, static_cast<std::uint8_t>(rs.status));
-  put_u8(b, static_cast<std::uint8_t>(rs.op));
-  put_str(b, rs.message.size() > kMaxMessage
-                 ? rs.message.substr(0, kMaxMessage)
-                 : rs.message);
+  wire::Writer b;
+  b.u64(rs.request_id);
+  b.u8(static_cast<std::uint8_t>(rs.status));
+  b.u8(static_cast<std::uint8_t>(rs.op));
+  b.str(std::string_view(rs.message).substr(0, kMaxMessage));
   if (rs.status == Status::kOk) {
     switch (rs.op) {
       case Op::kPing:
       case Op::kStats:
         break;
       case Op::kEnroll:
-        put_u32(b, rs.cycles_run);
-        put_u8(b, rs.resumed);
+        b.u32(rs.cycles_run);
+        b.u8(rs.resumed);
         break;
       case Op::kVerify: {
-        put_u8(b, static_cast<std::uint8_t>(rs.verdict));
-        put_u8(b, rs.fields ? 1 : 0);
+        b.u8(static_cast<std::uint8_t>(rs.verdict));
+        b.u8(rs.fields ? 1 : 0);
         if (rs.fields) {
-          put_u16(b, rs.fields->manufacturer_id);
-          put_u32(b, rs.fields->die_id);
-          put_u8(b, rs.fields->speed_grade);
-          put_u8(b, static_cast<std::uint8_t>(rs.fields->status));
-          put_u16(b, rs.fields->date_code);
+          b.u16(rs.fields->manufacturer_id);
+          b.u32(rs.fields->die_id);
+          b.u8(rs.fields->speed_grade);
+          b.u8(static_cast<std::uint8_t>(rs.fields->status));
+          b.u16(rs.fields->date_code);
         }
-        put_f64(b, rs.zero_fraction);
-        put_f64(b, rs.replica_disagreement);
-        put_u64(b, rs.extract_ns);
-        put_u32(b, rs.ecc_corrected);
-        put_u64(b, rs.retries);
+        b.f64(rs.zero_fraction);
+        b.f64(rs.replica_disagreement);
+        b.u64(rs.extract_ns);
+        b.u32(rs.ecc_corrected);
+        b.u64(rs.retries);
         break;
       }
       case Op::kLotReport:
-        put_u64(b, rs.lot.enrolled);
-        put_u64(b, rs.lot.verifies);
-        put_u64(b, rs.lot.genuine);
-        put_u64(b, rs.lot.no_watermark);
-        put_u64(b, rs.lot.tampered);
-        put_u64(b, rs.lot.unreadable);
+        b.u64(rs.lot.enrolled);
+        b.u64(rs.lot.verifies);
+        b.u64(rs.lot.genuine);
+        b.u64(rs.lot.no_watermark);
+        b.u64(rs.lot.tampered);
+        b.u64(rs.lot.unreadable);
         break;
       case Op::kChallenge:
-        put_u8(b, rs.challenge.accepted);
-        put_u8(b, rs.challenge.subset_genuine);
-        put_u8(b, rs.challenge.replicas_present);
-        put_u8(b, rs.challenge.response_consistent);
-        put_u8(b, rs.challenge.probe_fresh);
-        put_u8(b, static_cast<std::uint8_t>(rs.challenge.verdict));
-        put_f64(b, rs.challenge.subset_zero_fraction);
-        put_f64(b, rs.challenge.response_zero_fraction);
-        put_f64(b, rs.challenge.response_error);
-        put_f64(b, rs.challenge.probe_erased_fraction);
-        put_u64(b, rs.challenge.t_pew_ns);
-        put_u64(b, rs.challenge.t_resp_ns);
-        put_u32(b, rs.challenge.probe_segment);
+        b.u8(rs.challenge.accepted);
+        b.u8(rs.challenge.subset_genuine);
+        b.u8(rs.challenge.replicas_present);
+        b.u8(rs.challenge.response_consistent);
+        b.u8(rs.challenge.probe_fresh);
+        b.u8(static_cast<std::uint8_t>(rs.challenge.verdict));
+        b.f64(rs.challenge.subset_zero_fraction);
+        b.f64(rs.challenge.response_zero_fraction);
+        b.f64(rs.challenge.response_error);
+        b.f64(rs.challenge.probe_erased_fraction);
+        b.u64(rs.challenge.t_pew_ns);
+        b.u64(rs.challenge.t_resp_ns);
+        b.u32(rs.challenge.probe_segment);
         break;
     }
   }
-  return frame(b);
+  return frame(b.take());
 }
 
 std::optional<Request> decode_request_body(const std::string& body) {
-  Reader r(body);
+  wire::Reader r(body);
   Request rq;
   std::uint8_t op = 0;
   if (!r.u64(&rq.request_id) || !r.u32(&rq.tenant) ||
@@ -261,12 +164,12 @@ std::optional<Request> decode_request_body(const std::string& body) {
     case Op::kStats:
       break;
   }
-  if (r.pos() != body.size()) return std::nullopt;  // trailing garbage
+  if (!r.at_end()) return std::nullopt;  // trailing garbage
   return rq;
 }
 
 std::optional<Response> decode_response_body(const std::string& body) {
-  Reader r(body);
+  wire::Reader r(body);
   Response rs;
   std::uint8_t status = 0, op = 0;
   if (!r.u64(&rs.request_id) || !r.u8(&status) || !r.u8(&op))
@@ -340,7 +243,7 @@ std::optional<Response> decode_response_body(const std::string& body) {
       }
     }
   }
-  if (r.pos() != body.size()) return std::nullopt;  // trailing garbage
+  if (!r.at_end()) return std::nullopt;  // trailing garbage
   return rs;
 }
 
@@ -351,19 +254,17 @@ void FrameParser::feed(const char* data, std::size_t n) {
 
 FrameParser::State FrameParser::next(std::string* body) {
   if (bad_) return State::kBad;
+  wire::Reader r(buf_);
+  std::uint32_t magic = 0, version = 0, body_len = 0;
   if (buf_.size() < kFrameHeaderBytes) {
     // Reject a hostile prefix as soon as the bytes prove it, not only once
     // a full (possibly huge) header has been buffered.
-    Reader r(buf_);
-    std::uint32_t magic = 0;
-    if (buf_.size() >= 4 && (!r.u32(&magic) || magic != kFrameMagic)) {
+    if (r.u32(&magic) && magic != kFrameMagic) {
       bad_ = true;
       return State::kBad;
     }
     return State::kNeedMore;
   }
-  Reader r(buf_);
-  std::uint32_t magic = 0, version = 0, body_len = 0;
   if (!r.u32(&magic) || magic != kFrameMagic || !r.u32(&version) ||
       version != kProtocolVersion || !r.u32(&body_len) ||
       body_len > kMaxFrameBody) {
@@ -374,22 +275,13 @@ FrameParser::State FrameParser::next(std::string* body) {
   if (buf_.size() < total) return State::kNeedMore;
   // CRC-first: nothing inside the body is interpreted until the trailer
   // proves the bytes arrived intact.
-  std::uint32_t want = 0;
-  {
-    const std::string tail(buf_, total - 4, 4);
-    Reader tr(tail);
-    if (!tr.u32(&want)) {
-      bad_ = true;
-      return State::kBad;
-    }
-  }
-  const std::uint32_t got = crc32_ieee(
-      reinterpret_cast<const std::uint8_t*>(buf_.data()), total - 4);
-  if (want != got) {
+  const std::optional<std::string_view> checked =
+      wire::crc_checked_body(std::string_view(buf_).substr(0, total));
+  if (!checked) {
     bad_ = true;
     return State::kBad;
   }
-  body->assign(buf_, kFrameHeaderBytes, body_len);
+  body->assign(checked->substr(kFrameHeaderBytes));
   buf_.erase(0, total);
   return State::kFrame;
 }

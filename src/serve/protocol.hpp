@@ -1,10 +1,10 @@
 // Wire protocol of flashmarkd (the serve layer).
 //
-// Frames are length-prefixed and CRC-framed, and the decoder applies the
-// same hostile-input discipline as the lot shard transport
-// (src/lot/shard.cpp): validate the CRC trailer before trusting any field,
-// bounds-check every read through a sequential cursor, range-check every
-// enum, and reject trailing garbage. A client (or a fuzzer) on the socket
+// Frames are length-prefixed and CRC-framed, and the decoder shares the
+// wire codec of the lot and ROC shard frames (src/util/wire.hpp): validate
+// the CRC trailer before trusting any field, bounds-check every read
+// through a sequential cursor, range-check every enum, and reject trailing
+// garbage. A client (or a fuzzer) on the socket
 // can produce protocol errors, never undefined behavior — and a torn or
 // corrupt frame poisons only its own connection, never the daemon.
 //

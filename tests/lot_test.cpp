@@ -26,6 +26,7 @@
 
 #include "lot/lot_internal.hpp"
 #include "obs/metrics.hpp"
+#include "util/shards.hpp"
 
 namespace flashmark {
 namespace {
@@ -81,7 +82,7 @@ TEST(LotShardRange, PartitionsContiguouslyAndCompletely) {
     std::uint64_t total = 0;
     for (unsigned s = 0; s < slots; ++s) {
       std::uint64_t b = 0, e = 0;
-      lot::internal::shard_range(23, slots, s, &b, &e);
+      util::shard_range(23, slots, s, &b, &e);
       EXPECT_EQ(b, expect_begin) << "slots " << slots << " shard " << s;
       EXPECT_GE(e, b);
       expect_begin = e;
@@ -294,7 +295,7 @@ TEST(LotSignals, SigtermForwardsToWorkersAndFoldsShardLost) {
   const pid_t child = fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    // SIGTERM is ignored *between* runs; run_sharded swaps in its own
+    // SIGTERM is ignored *between* runs; the shard runner swaps in its own
     // flag-only handler for the duration of each run, so a signal landing
     // mid-run is contained and one landing in a gap is simply dropped (the
     // parent re-sends until one lands mid-run).

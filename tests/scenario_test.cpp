@@ -10,11 +10,19 @@
 // diff and update the EXPERIMENTS.md headline table alongside.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attack/attacks.hpp"
@@ -347,6 +355,56 @@ TEST(RocWireFormat, RoundTripsAndRejectsCorruption) {
   bad_sum[28 + 24] = static_cast<char>(bad_sum[28 + 24] + 1);
   EXPECT_FALSE(scenario::internal::deserialize_shard(reseal(bad_sum), 3, 10,
                                                      2));
+}
+
+// Signal containment: a SIGTERM mid-study is forwarded to the shard
+// workers, every worker is reaped, and the study throws an error naming the
+// signal. It never returns a partial curve. Runs in a forked child so the
+// real kill(2) delivery and reap happen end to end.
+TEST(RocSignals, SigtermThrowsAfterReapingEveryWorker) {
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Ignored between runs; the shard runner flags it during each run, so
+    // the parent re-sends until one lands mid-run.
+    std::signal(SIGTERM, SIG_IGN);
+    RocConfig cfg = small_roc_config();
+    cfg.dies_per_population = 8;
+    for (int round = 0; round < 100; ++round) {
+      try {
+        scenario::run_roc_study(cfg, {2, 1});
+        continue;  // finished before delivery: go again
+      } catch (const std::runtime_error& e) {
+        int code = 0;
+        if (std::string(e.what()).find("signal " +
+                                       std::to_string(SIGTERM)) ==
+            std::string::npos)
+          code |= 1;
+        // Every worker was reaped before the throw: no child is left.
+        if (::waitpid(-1, nullptr, WNOHANG) != -1 || errno != ECHILD)
+          code |= 2;
+        ::_exit(code);
+      }
+    }
+    ::_exit(32);  // no signal ever observed
+  }
+
+  int wstatus = 0;
+  pid_t reaped = 0;
+  for (int i = 0; i < 600; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ASSERT_EQ(::kill(child, SIGTERM), 0);
+    reaped = ::waitpid(child, &wstatus, WNOHANG);
+    ASSERT_GE(reaped, 0);
+    if (reaped == child) break;
+  }
+  if (reaped != child) {
+    ::kill(child, SIGKILL);
+    ::waitpid(child, &wstatus, 0);
+    FAIL() << "child never exited";
+  }
+  ASSERT_TRUE(WIFEXITED(wstatus)) << wstatus;
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0);
 }
 
 TEST(RocPipeline, OperatingPointCalibrationRejectsEmptyPopulations) {
