@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace flashmark::wire {
 
@@ -41,7 +42,6 @@ class Writer {
   /// u32 CRC-32 (IEEE) over everything written so far.
   void append_crc32();
 
-  std::size_t size() const { return s_.size(); }
   std::string take() { return std::move(s_); }
 
  private:
