@@ -291,17 +291,38 @@ void BM_ErasePulseSegment(benchmark::State& state) {
 BENCHMARK(BM_ErasePulseSegment)->Arg(0)->Arg(1);
 
 // Majority-read kernel under both modes (arg 0), mid-transition so the
-// metastable noise draws are live — the analyze/extract hot loop.
+// metastable noise draws are live — the analyze/extract hot loop. Also the
+// allocation guard for the read: the kernel votes into a preallocated
+// bitmap, so after the warm-up read every batched read must run entirely
+// out of the thread-local KernelArena scratch. The batched arg FAILS
+// (SkipWithError) if a steady-state read touches the heap.
 void BM_ReadSegmentMajority(benchmark::State& state) {
+  const KernelMode mode = static_cast<KernelMode>(state.range(0));
   DeviceConfig cfg = DeviceConfig::msp430f5438();
-  cfg.kernel_mode = static_cast<KernelMode>(state.range(0));
+  cfg.kernel_mode = mode;
   Device dev(cfg, kDieSeed);
   const Addr addr = seg_addr(dev, 0);
   const std::vector<std::uint16_t> zeros(256, 0);
   dev.hal().program_block(addr, zeros);
   dev.hal().partial_erase_segment(addr, SimTime::us(26));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(dev.hal().read_segment(addr, 3));
+  const FlashArray& array = dev.array();
+  const SegmentSoA& seg = *array.materialized_segment(0);
+  const std::size_t bpw = cfg.geometry.bits_per_word();
+  Rng noise(kDieSeed);
+  BitVec voted(seg.size());
+  kernels::read_segment_majority(mode, seg, array.phys(), bpw, 3, noise,
+                                 voted);  // warm-up: sizes the arena scratch
+  std::uint64_t read_allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t a0 = g_heap_allocs.load(std::memory_order_relaxed);
+    kernels::read_segment_majority(mode, seg, array.phys(), bpw, 3, noise,
+                                   voted);
+    read_allocs += g_heap_allocs.load(std::memory_order_relaxed) - a0;
+    benchmark::DoNotOptimize(voted.words().data());
+  }
+  state.counters["read_allocs"] = static_cast<double>(read_allocs);
+  if (mode == KernelMode::kBatched && read_allocs != 0)
+    state.SkipWithError("steady-state batched majority read hit the heap");
 }
 BENCHMARK(BM_ReadSegmentMajority)->Arg(0)->Arg(1);
 

@@ -81,16 +81,10 @@ ExtractResult extract_flashmark(FlashHal& hal, Addr addr,
     }
   }
 
-  if (opts.rounds == 1) {
-    result.bits = result.round_bits.front();
-  } else {
-    result.bits = BitVec(n_cells);
-    for (std::size_t i = 0; i < n_cells; ++i) {
-      int ones = 0;
-      for (const auto& rb : result.round_bits) ones += rb.get(i) ? 1 : 0;
-      result.bits.set(i, ones * 2 > opts.rounds);
-    }
-  }
+  // Fig. 8's vote across rounds, 64 cells per word operation.
+  result.bits = opts.rounds == 1
+                    ? result.round_bits.front()
+                    : BitVec::majority(result.round_bits, n_cells);
 
   if (opts.final_erase) {
     for (;;) {

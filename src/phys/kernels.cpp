@@ -1,8 +1,11 @@
 #include "phys/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "util/fm_math.hpp"
@@ -98,9 +101,11 @@ struct KernelArena {
   std::vector<std::size_t> draw_idx;
   std::vector<double> jitter;       // packed draws, exponentiated in place
   std::vector<double> jitter_full;  // scattered per cell (dead lanes unread)
-  // read-majority hoisting
-  std::vector<double> pflip_seg, meta_x;
-  std::vector<std::size_t> meta_idx;
+  // majority read: flip probabilities, the uniforms, the draw /
+  // always-flip / settled-erased bitmaps and one row per read
+  std::vector<double> pflip, unif;
+  std::vector<std::uint64_t> draw_bits, flip_bits, erased_bits, read_rows;
+  std::vector<const std::uint64_t*> row_ptrs;
 };
 
 KernelArena& arena() {
@@ -542,6 +547,337 @@ void pass3(SegmentSoA& s, const PhysParams& p, double t_pe_us,
   pass3_scalar_range(s, p, t_pe_us, jit, jittered, 0, s.size());
 }
 
+// --- majority read -----------------------------------------------------------
+// The batched read_segment_majority in three steps, each bit-identical to
+// n_reads sweeps of Cell::read:
+//
+//   1. hoist: every read cell's flip probability p = 0.5 * fm_exp(-|margin|
+//      / tau) vector-wide (p = 0 for defect and settled cells, which never
+//      draw), and three bitmaps: the bits that draw, the bits that always
+//      flip and the bits whose settled value is 1 (erased). Rng::bernoulli
+//      draws unless p <= 0 or p >= 1 — so a NaN p draws and never flips —
+//      and flips without drawing when p >= 1;
+//   2. draw: all n_reads x popcount(draw bits) uniforms in one
+//      Rng::uniform_fill, which consumes them in the scalar loop's order:
+//      word-major, then read, then bit-ascending;
+//   3. vote: per word and read, compare each drawing bit's uniform with its
+//      p (u < p, bernoulli's test), XOR with the settled value into that
+//      read's row, then one word-wise majority_words over the rows.
+
+// Slack after the flip probabilities and the uniforms, so a whole-vector
+// load at the last word stays inside the buffer (its extra lanes are masked).
+constexpr std::size_t kReadPad = 16;
+
+inline void set_bit(std::uint64_t* bm, std::size_t i) {
+  bm[i >> 6] |= 1ull << (i & 63);
+}
+
+// Bits [pos, pos + len) of a bitmap, len <= 16.
+inline std::uint32_t get_bits(const std::uint64_t* bm, std::size_t pos,
+                              std::size_t len) {
+  const std::size_t sh = pos & 63;
+  std::uint64_t v = bm[pos >> 6] >> sh;
+  if (sh + len > 64) v |= bm[(pos >> 6) + 1] << (64 - sh);
+  return static_cast<std::uint32_t>(v & ((1ull << len) - 1));
+}
+
+// OR `v` (len <= 16 bits) into a zeroed row at bit `pos`.
+inline void put_bits(std::uint64_t* row, std::size_t pos, std::size_t len,
+                     std::uint64_t v) {
+  const std::size_t sh = pos & 63;
+  row[pos >> 6] |= v << sh;
+  if (sh + len > 64) row[(pos >> 6) + 1] |= v >> (64 - sh);
+}
+
+// Step 1a: x = -|margin| / tau, the fm_exp argument (Cell::read's
+// expression: setting the sign bit is the negation of the absolute value).
+void flip_arg_scalar_range(const float* margin, double tau, double* x,
+                           std::size_t i0, std::size_t i1) {
+  for (std::size_t i = i0; i < i1; ++i)
+    x[i] = -std::abs(static_cast<double>(margin[i])) / tau;
+}
+
+// Step 1b: p from the exponentiated argument, and the three bitmaps (which
+// the caller zeroed).
+struct ReadMasks {
+  double* pflip;         // in: fm_exp(x); out: p
+  std::uint64_t* draw;   // bits that draw a uniform
+  std::uint64_t* flip;   // bits that always flip
+  std::uint64_t* erased;  // settled value 1
+};
+
+void read_masks_scalar_range(const SegmentSoA& s, const ReadMasks& m,
+                             std::size_t i0, std::size_t i1) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    const bool noisy = s.defect[i] == kNoDefect && s.metastable[i] != 0;
+    const double p = noisy ? 0.5 * m.pflip[i] : 0.0;
+    m.pflip[i] = p;
+    if (!(p <= 0.0) && !(p >= 1.0)) set_bit(m.draw, i);
+    if (p >= 1.0) set_bit(m.flip, i);
+    if (s.level[i] == kErased) set_bit(m.erased, i);
+  }
+}
+
+// Step 3 inputs. Row r of the output is rows + r * row_words.
+struct ReadVote {
+  const double* pflip;
+  const std::uint64_t* draw;
+  const std::uint64_t* flip;
+  const std::uint64_t* erased;
+  const double* unif;
+  std::uint64_t* rows;
+  std::size_t row_words;
+  std::size_t n_words;
+  std::size_t bpw;
+  int n_reads;
+};
+
+void vote_rows_scalar(const ReadVote& v) {
+  const double* u = v.unif;
+  for (std::size_t w = 0; w < v.n_words; ++w) {
+    const std::size_t base = w * v.bpw;
+    const std::uint32_t d = get_bits(v.draw, base, v.bpw);
+    const std::uint32_t settled =
+        get_bits(v.erased, base, v.bpw) ^ get_bits(v.flip, base, v.bpw);
+    for (int r = 0; r < v.n_reads; ++r) {
+      std::uint32_t f = 0;
+      for (std::uint32_t m = d; m != 0; m &= m - 1) {
+        const int b = std::countr_zero(m);
+        f |= static_cast<std::uint32_t>(*u++ < v.pflip[base + b]) << b;
+      }
+      put_bits(v.rows + static_cast<std::size_t>(r) * v.row_words, base,
+               v.bpw, settled ^ f);
+    }
+  }
+}
+
+#if FM_KERNELS_X86
+
+__attribute__((target("avx2,fma"))) void flip_arg_avx2(const float* margin,
+                                                       double tau, double* x,
+                                                       std::size_t n) {
+  const __m256d vsign = _mm256_set1_pd(-0.0);
+  const __m256d vtau = _mm256_set1_pd(tau);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d m = _mm256_cvtps_pd(_mm_loadu_ps(margin + i));
+    _mm256_storeu_pd(x + i, _mm256_div_pd(_mm256_or_pd(m, vsign), vtau));
+  }
+  flip_arg_scalar_range(margin, tau, x, i, n);
+}
+
+__attribute__((target("avx512f,avx512dq,avx512bw,avx512vl,avx2,fma"))) void
+flip_arg_avx512(const float* margin, double tau, double* x, std::size_t n) {
+  const __m512d vsign = _mm512_set1_pd(-0.0);
+  const __m512d vtau = _mm512_set1_pd(tau);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512d m = _mm512_cvtps_pd(_mm256_loadu_ps(margin + i));
+    _mm512_storeu_pd(x + i, _mm512_div_pd(_mm512_or_pd(m, vsign), vtau));
+  }
+  flip_arg_scalar_range(margin, tau, x, i, n);
+}
+
+// Eight cells per step; each bitmap byte covers cells 8k..8k+7 (x86 is
+// little-endian, so byte k of the word array is bits 8k..8k+7).
+__attribute__((target("avx2,fma"))) void read_masks_avx2(const SegmentSoA& s,
+                                                         const ReadMasks& m,
+                                                         std::size_t n) {
+  const __m256d vhalf = _mm256_set1_pd(0.5);
+  const __m256d vzero = _mm256_setzero_pd();
+  const __m256d vone = _mm256_set1_pd(1.0);
+  const __m256i vlane = _mm256_setr_epi64x(1, 2, 4, 8);
+  auto* draw8 = reinterpret_cast<std::uint8_t*>(m.draw);
+  auto* flip8 = reinterpret_cast<std::uint8_t*>(m.flip);
+  auto* erased8 = reinterpret_cast<std::uint8_t*>(m.erased);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i db = _mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(s.defect.data() + i));
+    const __m128i mb = _mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(s.metastable.data() + i));
+    const __m128i lb = _mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(s.level.data() + i));
+    const __m128i vz = _mm_setzero_si128();
+    const int noisy =
+        _mm_movemask_epi8(_mm_cmpeq_epi8(db, _mm_set1_epi8(kNoDefect))) &
+        ~_mm_movemask_epi8(_mm_cmpeq_epi8(mb, vz)) & 0xFF;
+    const int er =
+        _mm_movemask_epi8(_mm_cmpeq_epi8(
+            lb, _mm_set1_epi8(static_cast<char>(kErased)))) &
+        0xFF;
+    int draw = 0;
+    int flip = 0;
+    for (int h = 0; h < 2; ++h) {
+      const std::size_t c = i + static_cast<std::size_t>(4 * h);
+      const __m256d lanes = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+          _mm256_and_si256(_mm256_set1_epi64x((noisy >> (4 * h)) & 0xF),
+                           vlane),
+          vlane));
+      const __m256d p =
+          _mm256_and_pd(_mm256_mul_pd(vhalf, _mm256_loadu_pd(m.pflip + c)),
+                        lanes);
+      _mm256_storeu_pd(m.pflip + c, p);
+      const int d = _mm256_movemask_pd(_mm256_cmp_pd(p, vzero, _CMP_NLE_UQ)) &
+                    _mm256_movemask_pd(_mm256_cmp_pd(p, vone, _CMP_NGE_UQ));
+      const int f = _mm256_movemask_pd(_mm256_cmp_pd(p, vone, _CMP_GE_OQ));
+      draw |= d << (4 * h);
+      flip |= f << (4 * h);
+    }
+    draw8[i / 8] = static_cast<std::uint8_t>(draw);
+    flip8[i / 8] = static_cast<std::uint8_t>(flip);
+    erased8[i / 8] = static_cast<std::uint8_t>(er);
+  }
+  read_masks_scalar_range(s, m, i, n);
+}
+
+__attribute__((target("avx512f,avx512dq,avx512bw,avx512vl,avx2,fma"))) void
+read_masks_avx512(const SegmentSoA& s, const ReadMasks& m, std::size_t n) {
+  const __m512d vhalf = _mm512_set1_pd(0.5);
+  const __m512d vzero = _mm512_setzero_pd();
+  const __m512d vone = _mm512_set1_pd(1.0);
+  auto* draw8 = reinterpret_cast<std::uint8_t*>(m.draw);
+  auto* flip8 = reinterpret_cast<std::uint8_t*>(m.flip);
+  auto* erased8 = reinterpret_cast<std::uint8_t*>(m.erased);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i db = _mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(s.defect.data() + i));
+    const __m128i mb = _mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(s.metastable.data() + i));
+    const __m128i lb = _mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(s.level.data() + i));
+    const __mmask8 noisy = static_cast<__mmask8>(
+        _mm_cmpeq_epi8_mask(db, _mm_set1_epi8(kNoDefect)) &
+        _mm_cmpneq_epi8_mask(mb, _mm_setzero_si128()));
+    // noisy lanes take 0.5 * fm_exp(x), the rest +0.0
+    const __m512d p =
+        _mm512_maskz_mul_pd(noisy, vhalf, _mm512_loadu_pd(m.pflip + i));
+    _mm512_storeu_pd(m.pflip + i, p);
+    draw8[i / 8] = static_cast<std::uint8_t>(
+        _mm512_cmp_pd_mask(p, vzero, _CMP_NLE_UQ) &
+        _mm512_cmp_pd_mask(p, vone, _CMP_NGE_UQ));
+    flip8[i / 8] =
+        static_cast<std::uint8_t>(_mm512_cmp_pd_mask(p, vone, _CMP_GE_OQ));
+    erased8[i / 8] = static_cast<std::uint8_t>(_mm_cmpeq_epi8_mask(
+        lb, _mm_set1_epi8(static_cast<char>(kErased))));
+  }
+  read_masks_scalar_range(s, m, i, n);
+}
+
+// Lane permutations that spread the first popcount(d) of four packed
+// uniforms onto the set bits of the nibble d (as 32-bit index pairs for
+// vpermd); clear lanes take index 0 and are masked off after the compare.
+struct ExpandTable {
+  alignas(32) std::int32_t idx[16][8];
+  constexpr ExpandTable() : idx{} {
+    for (int d = 0; d < 16; ++d) {
+      int k = 0;
+      for (int lane = 0; lane < 4; ++lane) {
+        const int src = ((d >> lane) & 1) ? k++ : 0;
+        idx[d][2 * lane] = 2 * src;
+        idx[d][2 * lane + 1] = 2 * src + 1;
+      }
+    }
+  }
+};
+constexpr ExpandTable kExpand4{};
+
+__attribute__((target("avx2,fma,popcnt"))) void vote_rows_avx2(
+    const ReadVote& v) {
+  const double* u = v.unif;
+  for (std::size_t w = 0; w < v.n_words; ++w) {
+    const std::size_t base = w * v.bpw;
+    const std::uint32_t d = get_bits(v.draw, base, v.bpw);
+    const std::uint32_t settled =
+        get_bits(v.erased, base, v.bpw) ^ get_bits(v.flip, base, v.bpw);
+    __m256d p[4];
+    for (int k = 0; k < 4; ++k) p[k] = _mm256_loadu_pd(v.pflip + base + 4 * k);
+    for (int r = 0; r < v.n_reads; ++r) {
+      std::uint32_t f = 0;
+      for (int k = 0; k < 4; ++k) {
+        const std::uint32_t nib = (d >> (4 * k)) & 0xF;
+        if (nib == 0) continue;
+        const __m256i perm = _mm256_load_si256(
+            reinterpret_cast<const __m256i*>(kExpand4.idx[nib]));
+        const __m256d ux = _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(
+            _mm256_castpd_si256(_mm256_loadu_pd(u)), perm));
+        const std::uint32_t lt = static_cast<std::uint32_t>(
+            _mm256_movemask_pd(_mm256_cmp_pd(ux, p[k], _CMP_LT_OQ)));
+        f |= (lt & nib) << (4 * k);
+        u += std::popcount(nib);
+      }
+      put_bits(v.rows + static_cast<std::size_t>(r) * v.row_words, base,
+               v.bpw, settled ^ f);
+    }
+  }
+}
+
+__attribute__((target("avx512f,avx512dq,avx512bw,avx512vl,avx2,fma,popcnt")))
+void vote_rows_avx512(const ReadVote& v) {
+  const double* u = v.unif;
+  for (std::size_t w = 0; w < v.n_words; ++w) {
+    const std::size_t base = w * v.bpw;
+    const std::uint32_t d = get_bits(v.draw, base, v.bpw);
+    const std::uint32_t settled =
+        get_bits(v.erased, base, v.bpw) ^ get_bits(v.flip, base, v.bpw);
+    const __mmask8 dlo = static_cast<__mmask8>(d & 0xFF);
+    const __mmask8 dhi = static_cast<__mmask8>(d >> 8);
+    const int nlo = std::popcount(d & 0xFFu);
+    const int nhi = std::popcount(d >> 8);
+    const __m512d plo = _mm512_loadu_pd(v.pflip + base);
+    const __m512d phi = _mm512_loadu_pd(v.pflip + base + 8);
+    for (int r = 0; r < v.n_reads; ++r) {
+      // expand-load packs this read's uniforms onto the drawing lanes
+      const __mmask8 flo = _mm512_mask_cmp_pd_mask(
+          dlo, _mm512_maskz_expandloadu_pd(dlo, u), plo, _CMP_LT_OQ);
+      u += nlo;
+      const __mmask8 fhi = _mm512_mask_cmp_pd_mask(
+          dhi, _mm512_maskz_expandloadu_pd(dhi, u), phi, _CMP_LT_OQ);
+      u += nhi;
+      put_bits(v.rows + static_cast<std::size_t>(r) * v.row_words, base,
+               v.bpw,
+               settled ^ (static_cast<std::uint32_t>(flo) |
+                          static_cast<std::uint32_t>(fhi) << 8));
+    }
+  }
+}
+
+#endif  // FM_KERNELS_X86
+
+void flip_arg(const float* margin, double tau, double* x, std::size_t n) {
+#if FM_KERNELS_X86
+  switch (fmm::active_isa()) {
+    case fmm::Isa::kAvx512: flip_arg_avx512(margin, tau, x, n); return;
+    case fmm::Isa::kAvx2: flip_arg_avx2(margin, tau, x, n); return;
+    case fmm::Isa::kScalar: break;
+  }
+#endif
+  flip_arg_scalar_range(margin, tau, x, 0, n);
+}
+
+void read_masks(const SegmentSoA& s, const ReadMasks& m, std::size_t n) {
+#if FM_KERNELS_X86
+  switch (fmm::active_isa()) {
+    case fmm::Isa::kAvx512: read_masks_avx512(s, m, n); return;
+    case fmm::Isa::kAvx2: read_masks_avx2(s, m, n); return;
+    case fmm::Isa::kScalar: break;
+  }
+#endif
+  read_masks_scalar_range(s, m, 0, n);
+}
+
+void vote_rows(const ReadVote& v) {
+#if FM_KERNELS_X86
+  switch (fmm::active_isa()) {
+    case fmm::Isa::kAvx512: vote_rows_avx512(v); return;
+    case fmm::Isa::kAvx2: vote_rows_avx2(v); return;
+    case fmm::Isa::kScalar: break;
+  }
+#endif
+  vote_rows_scalar(v);
+}
+
 }  // namespace
 
 void erase_full_segment(KernelMode m, SegmentSoA& s, const PhysParams& p) {
@@ -704,10 +1040,10 @@ void read_segment_majority(KernelMode m, const SegmentSoA& s,
                            const PhysParams& p, std::size_t bits_per_word,
                            int n_reads, Rng& rng, BitVec& out) {
   const std::size_t n_words = s.size() / bits_per_word;
-  // The hoisting buffers below are sized for <= 16-bit words (every
-  // supported geometry); wider words take the reference loop, which is
-  // byte-identical by contract.
-  if (m == KernelMode::kReference || bits_per_word > 16) {
+  // The batched vote packs a word into <= 16 lanes (every supported
+  // geometry); wider words, and a vote over no reads, take the reference
+  // loop, which is byte-identical by contract.
+  if (m == KernelMode::kReference || bits_per_word > 16 || n_reads < 1) {
     std::vector<int> ones(bits_per_word);
     for (std::size_t w = 0; w < n_words; ++w) {
       ones.assign(bits_per_word, 0);
@@ -723,56 +1059,49 @@ void read_segment_majority(KernelMode m, const SegmentSoA& s,
     }
     return;
   }
-  // Flip probabilities are read-invariant, so hoist them once for the whole
-  // segment and run the exp batch vector-wide (bit-identical to the scalar
-  // 0.5 * fm_exp(-dist / tau) per cell). Scratch lives in the per-thread
-  // arena: parallel fleet dies never share it, steady-state reads allocate
-  // nothing. Degenerate populations (all-defect, all-erased-and-settled)
-  // leave n_meta == 0 — every bit reads deterministically from its level,
-  // exactly as Cell::read does (defect cells return their level with no
-  // draw; settled cells have no metastable noise window).
-  const std::size_t n = s.size();
+  const std::size_t n_used = n_words * bits_per_word;  // cells the words read
+  if (n_used == 0) return;
+  if (out.size() < n_used)
+    throw std::out_of_range("read_segment_majority: output bitmap too small");
+  const std::size_t row_words = (n_used + 63) / 64;
   KernelArena& a = arena();
-  a.pflip_seg.resize(n);
-  a.meta_idx.resize(n);
-  a.meta_x.resize(n);
-  std::vector<double>& pflip_seg = a.pflip_seg;
-  std::size_t n_meta = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    pflip_seg[i] = -1.0;  // < 0 marks "deterministic, no draw"
-    if (s.defect[i] == kNoDefect && s.metastable[i]) {
-      const double dist = std::abs(static_cast<double>(s.margin_us[i]));
-      a.meta_idx[n_meta] = i;
-      a.meta_x[n_meta] = -dist / p.read_noise_tau_us;
-      ++n_meta;
-    }
-  }
-  fmm::fm_exp_n(a.meta_x.data(), a.meta_x.data(), n_meta);
-  for (std::size_t k = 0; k < n_meta; ++k)
-    pflip_seg[a.meta_idx[k]] = 0.5 * a.meta_x[k];
 
-  // Per word: hoist each bit's settled value, then spin the n_reads
-  // Bernoulli draws in the exact scalar order (read-major, bit-ascending).
-  int ones[16];
-  bool settled_val[16];
-  double p_flip[16];
-  for (std::size_t w = 0; w < n_words; ++w) {
-    const std::size_t base = w * bits_per_word;
-    for (std::size_t b = 0; b < bits_per_word; ++b) {
-      const std::size_t i = base + b;
-      ones[b] = 0;
-      settled_val[b] = s.level[i] == kErased;
-      p_flip[b] = pflip_seg[i];
-    }
-    for (int r = 0; r < n_reads; ++r)
-      for (std::size_t b = 0; b < bits_per_word; ++b) {
-        bool v = settled_val[b];
-        if (p_flip[b] >= 0.0 && rng.bernoulli(p_flip[b])) v = !v;
-        ones[b] += v ? 1 : 0;
-      }
-    for (std::size_t b = 0; b < bits_per_word; ++b)
-      out.set(base + b, ones[b] * 2 > n_reads);
-  }
+  // 1. hoist (the flip probability is read-invariant; only the draw repeats)
+  a.pflip.resize(n_used + kReadPad);
+  a.draw_bits.assign(row_words + 1, 0);
+  a.flip_bits.assign(row_words + 1, 0);
+  a.erased_bits.assign(row_words + 1, 0);
+  flip_arg(s.margin_us.data(), p.read_noise_tau_us, a.pflip.data(), n_used);
+  fmm::fm_exp_n(a.pflip.data(), a.pflip.data(), n_used);
+  read_masks(s, {a.pflip.data(), a.draw_bits.data(), a.flip_bits.data(),
+                 a.erased_bits.data()},
+             n_used);
+
+  // 2. draw
+  std::size_t n_draw_bits = 0;
+  for (std::size_t j = 0; j < row_words; ++j)
+    n_draw_bits += static_cast<std::size_t>(std::popcount(a.draw_bits[j]));
+  const std::size_t n_draws =
+      static_cast<std::size_t>(n_reads) * n_draw_bits;
+  a.unif.resize(n_draws + kReadPad);
+  rng.uniform_fill(a.unif.data(), n_draws);
+
+  // 3. vote: one row per read, then the majority straight into out's words;
+  // bits past the read cells keep their value
+  a.read_rows.assign(static_cast<std::size_t>(n_reads) * row_words, 0);
+  vote_rows({a.pflip.data(), a.draw_bits.data(), a.flip_bits.data(),
+             a.erased_bits.data(), a.unif.data(), a.read_rows.data(),
+             row_words, n_words, bits_per_word, n_reads});
+  a.row_ptrs.resize(static_cast<std::size_t>(n_reads));
+  for (int r = 0; r < n_reads; ++r)
+    a.row_ptrs[static_cast<std::size_t>(r)] =
+        a.read_rows.data() + static_cast<std::size_t>(r) * row_words;
+  const std::span<std::uint64_t> ow = out.words();
+  const std::size_t tail = n_used % 64;
+  const std::uint64_t kept =
+      tail != 0 ? ow[row_words - 1] & ~((1ull << tail) - 1) : 0;
+  majority_words(a.row_ptrs.data(), a.row_ptrs.size(), row_words, ow.data());
+  ow[row_words - 1] |= kept;
 }
 
 void wear_cells(KernelMode m, SegmentSoA& s, const PhysParams& p,

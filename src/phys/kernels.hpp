@@ -158,8 +158,11 @@ std::uint16_t read_word(KernelMode m, const SegmentSoA& s,
 /// (sized to s.size()). Loop order is word-major, then read, then bit —
 /// exactly a read_word sweep repeated n_reads times per word, so the RNG
 /// stream matches the scalar analyze loop draw-for-draw. The batched path
-/// hoists each metastable cell's flip probability out of the read loop
-/// (the value is read-invariant; only the Bernoulli draw repeats).
+/// hoists each cell's flip probability out of the read loop (the value is
+/// read-invariant; only the Bernoulli draw repeats), draws the segment's
+/// uniforms in one batch in that order, and votes 64 cells per word
+/// operation. Bits of `out` past the last whole word's cells are left as
+/// they are.
 void read_segment_majority(KernelMode m, const SegmentSoA& s,
                            const PhysParams& p, std::size_t bits_per_word,
                            int n_reads, Rng& rng, BitVec& out);

@@ -1,5 +1,7 @@
 #include "util/bitvec.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -140,6 +142,56 @@ std::string BitVec::to_string() const {
 
 bool BitVec::operator==(const BitVec& o) const {
   return size_ == o.size_ && words_ == o.words_;
+}
+
+BitVec BitVec::majority(const std::vector<BitVec>& rows, std::size_t n) {
+  std::vector<const std::uint64_t*> ptrs;
+  ptrs.reserve(rows.size());
+  for (const BitVec& r : rows) {
+    if (r.size_ < n) throw std::out_of_range("BitVec::majority: short row");
+    ptrs.push_back(r.words_.data());
+  }
+  BitVec out(n);
+  majority_words(ptrs.data(), ptrs.size(), out.words_.size(),
+                 out.words_.data());
+  if (n % 64 != 0) out.words_.back() &= (1ull << (n % 64)) - 1;
+  return out;
+}
+
+void majority_words(const std::uint64_t* const* rows, std::size_t k,
+                    std::size_t n_words, std::uint64_t* out) {
+  if (k == 0) {
+    std::fill(out, out + n_words, 0);
+    return;
+  }
+  // planes[q] holds bit q of every lane's count; a bit wins with a count
+  // of at least k / 2 + 1, which fits in bit_width(k) planes.
+  const int n_planes = std::bit_width(k);
+  const std::size_t need = k / 2 + 1;
+  std::array<std::uint64_t, 64> planes{};
+  for (std::size_t j = 0; j < n_words; ++j) {
+    std::fill(planes.begin(), planes.begin() + n_planes, 0);
+    for (std::size_t r = 0; r < k; ++r) {
+      std::uint64_t carry = rows[r][j];
+      for (int q = 0; q < n_planes && carry != 0; ++q) {
+        const std::uint64_t t = planes[q] & carry;
+        planes[q] ^= carry;
+        carry = t;
+      }
+    }
+    // count >= need, compared plane by plane from the top.
+    std::uint64_t gt = 0;
+    std::uint64_t eq = ~0ull;
+    for (int q = n_planes - 1; q >= 0; --q) {
+      if ((need >> q) & 1) {
+        eq &= planes[q];
+      } else {
+        gt |= eq & planes[q];
+        eq &= ~planes[q];
+      }
+    }
+    out[j] = gt | eq;
+  }
 }
 
 }  // namespace flashmark

@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,11 +70,29 @@ class BitVec {
 
   bool operator==(const BitVec& o) const;
 
+  /// Bit-wise majority of the first n bits of `rows`: bit i is 1 iff it is
+  /// set in more than half of them. Every row must hold at least n bits
+  /// (std::out_of_range otherwise); bits past n are ignored.
+  static BitVec majority(const std::vector<BitVec>& rows, std::size_t n);
+
+  /// The backing words: bit i is bit i % 64 of word i / 64. A writer must
+  /// leave every bit at position >= size() zero (popcount and == rely on
+  /// it).
+  std::span<std::uint64_t> words() { return words_; }
+  std::span<const std::uint64_t> words() const { return words_; }
+
  private:
   void check_index(std::size_t i) const;
 
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
 };
+
+/// Word-wise majority vote over k rows of n_words 64-bit words (rows[r]
+/// points at row r): bit b of out[j] is 1 iff bit b of word j is set in
+/// more than k / 2 rows. The per-bit counts are bit-sliced, so each word
+/// costs O(k log k) word operations whatever its popcount.
+void majority_words(const std::uint64_t* const* rows, std::size_t k,
+                    std::size_t n_words, std::uint64_t* out);
 
 }  // namespace flashmark

@@ -27,6 +27,24 @@ inline std::uint64_t rotl(std::uint64_t x, int k) {
 inline double scale_normal(double mu, double sigma, double x) {
   return mu + sigma * x;
 }
+
+// One xoshiro256** step, shared by next_u64 and uniform_fill.
+inline std::uint64_t xoshiro_next(std::array<std::uint64_t, 4>& s) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+// Top 53 bits -> [0,1) double.
+inline double unit_double(std::uint64_t x) {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -34,22 +52,9 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& word : s_) word = splitmix64(sm);
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
+std::uint64_t Rng::next_u64() { return xoshiro_next(s_); }
 
-double Rng::uniform() {
-  // Top 53 bits -> [0,1) double.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() { return unit_double(next_u64()); }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
@@ -145,6 +150,14 @@ void Rng::normal_fill(double mu, double sigma, double* out, std::size_t n) {
       has_cached_normal_ = true;
     }
   }
+}
+
+void Rng::uniform_fill(double* out, std::size_t n) {
+  // The state lives in a local for the loop, so the compiler keeps the
+  // xoshiro chain in registers instead of reloading it around each store.
+  std::array<std::uint64_t, 4> st = s_;
+  for (std::size_t i = 0; i < n; ++i) out[i] = unit_double(xoshiro_next(st));
+  s_ = st;
 }
 
 double Rng::lognormal(double mu, double sigma) {

@@ -55,6 +55,12 @@ class Rng {
   /// differential harness (ctest -L kernel) asserts the streams agree.
   void normal_fill(double mu, double sigma, double* out, std::size_t n);
 
+  /// Fill out[0..n) with draws BIT-IDENTICAL to n sequential uniform()
+  /// calls: one next_u64 per draw, in order, and the Box–Muller cache left
+  /// alone exactly as uniform() leaves it. The batched majority read
+  /// (phys/kernels.cpp) draws a whole segment's read noise through it.
+  void uniform_fill(double* out, std::size_t n);
+
   /// Log-normal: exp(N(mu, sigma)). mu/sigma are parameters of the
   /// underlying normal (i.e. of log X).
   double lognormal(double mu, double sigma);

@@ -122,16 +122,32 @@ std::vector<std::optional<std::string>> run_forked_shards(
   ScopedSignalFlags signals;
   pid_t pgid = 0;  // the workers' own process group (first child's pid)
 
+  // A pipe() or fork() failure mid-spawn: the workers already forked must
+  // not outlive the call. Kill their group, close their pipes and reap
+  // every one before the failure is reported.
+  auto kill_spawned = [&] {
+    if (pgid != 0) ::kill(-pgid, SIGKILL);
+    for (const Slot& w : workers) {
+      if (w.pid < 0) continue;
+      ::close(w.fd);
+      while (::waitpid(w.pid, nullptr, 0) < 0 && errno == EINTR) {
+      }
+    }
+  };
+
   for (unsigned s = 0; s < slots; ++s) {
     Slot& w = workers[s];
     if (g_signal != 0) break;  // interrupted mid-spawn: stop forking
     int fds[2];
-    if (::pipe(fds) != 0)
+    if (::pipe(fds) != 0) {
+      kill_spawned();
       throw std::runtime_error("run_forked_shards: pipe() failed");
+    }
     const pid_t pid = ::fork();
     if (pid < 0) {
       ::close(fds[0]);
       ::close(fds[1]);
+      kill_spawned();
       throw std::runtime_error("run_forked_shards: fork() failed");
     }
     if (pid == 0) {

@@ -44,7 +44,7 @@ using ShardWork = std::function<std::string(std::uint64_t begin,
 /// come back as std::nullopt. When `interrupted_signal` is non-null it
 /// receives the signal number (0 = ran to completion); what to do about it
 /// is the caller's decision. Throws std::runtime_error when pipe() or
-/// fork() fails.
+/// fork() fails, after killing and reaping the workers already forked.
 std::vector<std::optional<std::string>> run_forked_shards(
     std::uint64_t n, unsigned slots, const ShardWork& work,
     int* interrupted_signal = nullptr);

@@ -667,6 +667,171 @@ TEST(StoreKernel, ConcurrentSameDieExtractIsExclusive) {
                                      "holders of the same die";
 }
 
+// ---------------------------------------------------------------------------
+// Majority-read bit-exactness matrix. The batched read hoists every flip
+// probability, draws the segment's uniforms in one batch and votes word-wide;
+// it must return kReference's bitmap and leave the noise stream in
+// kReference's exact state (Box–Muller cache bits included) on every
+// dispatch tier, read count, population and geometry — 8-bit and 12-bit
+// words and segment lengths that are no multiple of 64 cells (or of the
+// word) run the scalar tails and the straddling word writes.
+// ---------------------------------------------------------------------------
+
+SegmentSoA manufactured(std::size_t n, const PhysParams& p, Rng& rng) {
+  SegmentSoA s(n);
+  for (std::size_t i = 0; i < n; ++i)
+    s.assign(i, Cell::manufacture(p, rng).snapshot_state());
+  return s;
+}
+
+// Program every whole word to zeros, then one aborted erase pulse.
+void pulse(SegmentSoA& s, const PhysParams& p, std::size_t bpw, double t_us,
+           Rng& rng) {
+  const std::vector<std::uint16_t> zeros(s.size() / bpw, 0);
+  kernels::program_words(KernelMode::kReference, s, p, 0, zeros.data(),
+                         zeros.size(), bpw);
+  kernels::erase_pulse_segment(KernelMode::kReference, s, p, t_us, rng);
+}
+
+struct ReadPopulation {
+  const char* name;
+  void (*shape)(SegmentSoA& s, const PhysParams& p, std::size_t bpw,
+                Rng& rng);
+};
+
+const ReadPopulation kReadPopulations[] = {
+    {"pulsed26",
+     [](SegmentSoA& s, const PhysParams& p, std::size_t bpw, Rng& rng) {
+       pulse(s, p, bpw, 26.0, rng);
+     }},
+    {"pulsed30",
+     [](SegmentSoA& s, const PhysParams& p, std::size_t bpw, Rng& rng) {
+       pulse(s, p, bpw, 30.0, rng);
+     }},
+    {"worn",
+     [](SegmentSoA& s, const PhysParams& p, std::size_t bpw, Rng& rng) {
+       kernels::wear_cells(KernelMode::kReference, s, p, 20000.0, nullptr);
+       pulse(s, p, bpw, 30.0, rng);
+     }},
+    {"mixed_defect",
+     [](SegmentSoA& s, const PhysParams& p, std::size_t bpw, Rng& rng) {
+       pulse(s, p, bpw, 28.0, rng);
+       for (std::size_t i = 0; i < s.size(); i += 3)
+         s.defect[i] = static_cast<std::uint8_t>(1 + i % 2);
+     }},
+    {"all_erased",
+     [](SegmentSoA& s, const PhysParams& p, std::size_t, Rng&) {
+       kernels::erase_full_segment(KernelMode::kReference, s, p);
+     }},
+    {"all_dead",
+     [](SegmentSoA& s, const PhysParams& p, std::size_t bpw, Rng& rng) {
+       pulse(s, p, bpw, 26.0, rng);  // metastable margins left behind
+       for (std::size_t i = 0; i < s.size(); ++i)
+         s.defect[i] = static_cast<std::uint8_t>(1 + i % 2);
+     }},
+    {"exp_underflow",  // fm_exp flushes to 0: p = 0, no draw
+     [](SegmentSoA& s, const PhysParams& p, std::size_t bpw, Rng& rng) {
+       pulse(s, p, bpw, 26.0, rng);
+       for (std::size_t i = 0; i < s.size(); i += 2)
+         s.margin_us[i] = (i % 4 == 0 ? 1.0f : -1.0f) * 1.0e9f;
+     }},
+    {"zero_margin",  // p = 0.5
+     [](SegmentSoA& s, const PhysParams& p, std::size_t bpw, Rng& rng) {
+       pulse(s, p, bpw, 26.0, rng);
+       for (std::size_t i = 0; i < s.size(); i += 2)
+         s.margin_us[i] = (i % 4 == 0) ? 0.0f : -0.0f;
+     }},
+    {"nan_inf_margin",  // NaN draws and never flips; +-inf never draws
+     [](SegmentSoA& s, const PhysParams& p, std::size_t bpw, Rng& rng) {
+       pulse(s, p, bpw, 26.0, rng);
+       constexpr float kInf = std::numeric_limits<float>::infinity();
+       const float odd[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(), kInf,
+                            -kInf};
+       for (std::size_t i = 0; i < s.size(); ++i) {
+         s.metastable[i] = 1;
+         if (i % 3 != 0) s.margin_us[i] = odd[i % 4];
+       }
+     }},
+};
+
+std::string bits_and_stream(const BitVec& v, const Rng& rng) {
+  const Rng::State st = rng.state();
+  std::ostringstream os;
+  os << v.to_string() << '|' << st.s[0] << ',' << st.s[1] << ',' << st.s[2]
+     << ',' << st.s[3] << ',' << st.cached_normal_bits << ','
+     << st.has_cached_normal;
+  return os.str();
+}
+
+TEST(KernelDiff, MajorityReadBitExactMatrix) {
+  const PhysParams p = PhysParams::msp430_calibrated();
+  struct Geometry {
+    std::size_t bpw, cells;
+  };
+  const Geometry geometries[] = {
+      {16, 4096},          // f5438 segment
+      {8, 1000},           // 8-bit words, 125 words, not a 64-cell multiple
+      {16, 16 * 37 + 5},   // trailing cells outside any whole word
+      {12, 12 * 21},       // words straddle the 64-bit bitmap words
+      {1, 67},
+  };
+  for (const Geometry& geo : geometries)
+    for (const ReadPopulation& pop : kReadPopulations) {
+      Rng build_rng(kMaster ^ geo.cells ^ geo.bpw);
+      SegmentSoA s = manufactured(geo.cells, p, build_rng);
+      pop.shape(s, p, geo.bpw, build_rng);
+      for (const int n_reads : {1, 3, 5, 7}) {
+        // The stream starts with a parked Box–Muller variate: the read
+        // must neither consume nor clear it.
+        Rng start(kMaster + static_cast<std::uint64_t>(n_reads));
+        (void)start.normal();
+        Rng ref_rng = start;
+        BitVec ref_out(geo.cells, true);  // bits past the words stay put
+        kernels::read_segment_majority(KernelMode::kReference, s, p, geo.bpw,
+                                       n_reads, ref_rng, ref_out);
+        const std::string want = bits_and_stream(ref_out, ref_rng);
+        for (const fmm::Isa cap : testable_isas()) {
+          IsaCapGuard guard(cap);
+          SCOPED_TRACE(std::string(pop.name) + " bpw " +
+                       std::to_string(geo.bpw) + " cells " +
+                       std::to_string(geo.cells) + " n_reads " +
+                       std::to_string(n_reads) + " isa " +
+                       fmm::to_string(cap));
+          Rng rng = start;
+          BitVec out(geo.cells, true);
+          kernels::read_segment_majority(KernelMode::kBatched, s, p, geo.bpw,
+                                         n_reads, rng, out);
+          EXPECT_EQ(bits_and_stream(out, rng), want);
+        }
+      }
+    }
+}
+
+// The extract round vote (BitVec::majority, word-wise) against the per-bit
+// loop it replaced, over a cell count that is no multiple of 64 and rows
+// longer than the count (their extra bits must not leak into the vote).
+TEST(KernelDiff, RoundVoteMatchesPerBitLoop) {
+  constexpr std::size_t kCells = 1000;
+  Rng rng(kMaster);
+  for (const int rounds : {1, 3, 5}) {
+    std::vector<BitVec> rows;
+    for (int r = 0; r < rounds; ++r) {
+      BitVec row(kCells + 24);
+      for (std::size_t i = 0; i < row.size(); ++i)
+        row.set(i, rng.bernoulli(0.5));
+      rows.push_back(row);
+    }
+    BitVec want(kCells);
+    for (std::size_t i = 0; i < kCells; ++i) {
+      int ones = 0;
+      for (const BitVec& rb : rows) ones += rb.get(i) ? 1 : 0;
+      want.set(i, ones * 2 > rounds);
+    }
+    EXPECT_EQ(BitVec::majority(rows, kCells), want) << "rounds " << rounds;
+  }
+}
+
 // Kernel mode is an implementation knob, not die identity: it must not be
 // persisted, and a die saved in one mode must reload byte-identically
 // regardless of the mode it continues under.

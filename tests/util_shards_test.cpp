@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -141,6 +143,56 @@ TEST(ForkedShards, SigtermIsForwardedAndEveryWorkerReaped) {
     reaped = ::waitpid(child, &wstatus, WNOHANG);
     ASSERT_GE(reaped, 0);
     if (reaped == child) break;
+  }
+  if (reaped != child) {
+    ::kill(child, SIGKILL);
+    ::waitpid(child, &wstatus, 0);
+    FAIL() << "child never exited";
+  }
+  ASSERT_TRUE(WIFEXITED(wstatus)) << wstatus;
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0);
+}
+
+// A pipe() failure after the first worker is forked: the call throws, and
+// the worker it had already forked is killed and reaped and its pipe
+// closed. Runs in a forked child, which lowers only its own open-file limit
+// to leave room for exactly one pipe.
+TEST(ForkedShards, SpawnFailureKillsAndReapsForkedWorkers) {
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // The lowest free fd and the one above it hold the first pipe; the
+    // second pipe() then finds no free fd under the limit.
+    const int low = ::dup(0);
+    if (low < 0) ::_exit(32);
+    ::close(low);
+    if (::fcntl(low + 1, F_GETFD) != -1) ::_exit(32);
+    rlimit lim{};
+    if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) ::_exit(32);
+    lim.rlim_cur = static_cast<rlim_t>(low + 2);
+    if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) ::_exit(32);
+    int code = 0;
+    try {
+      (void)util::run_forked_shards(
+          3, 3, [](std::uint64_t, std::uint64_t) -> std::string {
+            // Outlives the test unless the runner kills it.
+            std::this_thread::sleep_for(std::chrono::seconds(20));
+            return "late";
+          });
+      code |= 1;  // the spawn failure went unreported
+    } catch (const std::runtime_error&) {
+    }
+    if (::waitpid(-1, nullptr, WNOHANG) != -1 || errno != ECHILD) code |= 2;
+    if (::fcntl(low, F_GETFD) != -1) code |= 4;  // first pipe still open
+    ::_exit(code);
+  }
+  int wstatus = 0;
+  pid_t reaped = 0;
+  for (int i = 0; i < 100; ++i) {
+    reaped = ::waitpid(child, &wstatus, WNOHANG);
+    ASSERT_GE(reaped, 0);
+    if (reaped == child) break;
+    std::this_thread::sleep_for(milliseconds(100));
   }
   if (reaped != child) {
     ::kill(child, SIGKILL);
